@@ -29,6 +29,7 @@ import (
 	"repro/internal/embed"
 	"repro/internal/eval"
 	"repro/internal/faults"
+	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/incident"
 	"repro/internal/kb"
@@ -36,7 +37,6 @@ import (
 	"repro/internal/mitigation"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/ops"
 	"repro/internal/replayer"
 	"repro/internal/scenarios"
 )
@@ -376,24 +376,25 @@ func (s *System) runSession(in *Instance, seed int64) (Result, *core.Outcome) {
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // FleetReport re-exports the fleet-level operations report.
-type FleetReport = ops.Report
+type FleetReport = fleet.Report
 
 // Fleet simulates incident operations at fleet scale: n incidents arrive
 // as a Poisson process at the given hourly rate over a pool of
-// responders, each handled by this system's helper. Compare with
-// FleetUnassisted to see queueing amplification (experiment E10).
+// responders, each handled by this system's helper in arrival order
+// (FIFO, unbounded queue). Compare with FleetUnassisted to see queueing
+// amplification (experiment E10).
 func (s *System) Fleet(oces int, arrivalsPerHour float64, n int, seed int64) *FleetReport {
-	return ops.Simulate(ops.Config{
+	return fleet.Simulate(fleet.Config{
 		OCEs: oces, ArrivalsPerHour: arrivalsPerHour, Incidents: n, Seed: seed,
-		Runner: s.Runner(RunnerHelper), Obs: s.sink,
+		Runner: s.Runner(RunnerHelper), Obs: s.sink, Policy: fleet.FIFO, QueueLimit: 0,
 	})
 }
 
 // FleetUnassisted is Fleet with the helper-free control OCE pool.
 func (s *System) FleetUnassisted(oces int, arrivalsPerHour float64, n int, seed int64) *FleetReport {
-	return ops.Simulate(ops.Config{
+	return fleet.Simulate(fleet.Config{
 		OCEs: oces, ArrivalsPerHour: arrivalsPerHour, Incidents: n, Seed: seed,
-		Runner: s.Runner(RunnerControl), Obs: s.sink,
+		Runner: s.Runner(RunnerControl), Obs: s.sink, Policy: fleet.FIFO, QueueLimit: 0,
 	})
 }
 

@@ -116,8 +116,8 @@ func TestSystemFleet(t *testing.T) {
 	sys := New(WithSeed(8))
 	a := sys.Fleet(2, 4, 30, 8)
 	c := sys.FleetUnassisted(2, 4, 30, 8)
-	if a.MeanTotal >= c.MeanTotal {
-		t.Fatalf("assisted fleet not faster: %v vs %v", a.MeanTotal, c.MeanTotal)
+	if a.MeanResolution >= c.MeanResolution {
+		t.Fatalf("assisted fleet not faster: %v vs %v", a.MeanResolution, c.MeanResolution)
 	}
 }
 

@@ -140,21 +140,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "-regions is empty: at least one region name required")
 		os.Exit(2)
 	}
-	// One region without stealing is the classic single-cell scheduler;
-	// anything more shards the pool per region behind the same interface.
-	var sched fleet.Scheduler
-	if len(regionList) == 1 && !*steal {
-		sched = fleet.NewLive(fleet.LiveConfig{
-			OCEs: *oces, Policy: policy, QueueLimit: *queue, AgingStep: *aging,
-			Obs: sink, RunnerName: runner.Name(),
-		})
-	} else {
-		sched = fleet.NewSharded(fleet.ShardedLiveConfig{
-			Regions: regionList, OCEs: *oces, Policy: policy,
-			QueueLimit: *queue, AgingStep: *aging, Steal: *steal,
-			Obs: sink, RunnerName: runner.Name(),
-		})
-	}
+	// One responder pool per region; the default single region is the
+	// classic single-cell fleet.
+	sched := fleet.NewSharded(fleet.ShardedLiveConfig{
+		Regions: regionList, OCEs: *oces, Policy: policy,
+		QueueLimit: *queue, AgingStep: *aging, Steal: *steal,
+		Obs: sink, RunnerName: runner.Name(),
+	})
 
 	// Open the journal (and scan what a previous life left) before the
 	// clock exists: in wall mode the simulated timeline resumes from the
@@ -234,16 +226,10 @@ func main() {
 	gw.Shutdown()
 	logf := func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
 	shutdownHTTP(srv, *drainTO, logf)
-	if sh, ok := sched.(*fleet.ShardedScheduler); ok {
-		fmt.Println(fleet.ShardedSummaryTable(
-			fmt.Sprintf("aiopsd drain: %d regions, %d OCEs/region, queue bound %d, steal %v",
-				len(regionList), *oces, *queue, *steal),
-			sh.DrainSharded()))
-	} else {
-		fmt.Println(fleet.SummaryTable(
-			fmt.Sprintf("aiopsd drain: %d OCEs, queue bound %d", *oces, *queue),
-			[]fleet.Arm{{Name: runner.Name(), Report: sched.Drain()}}))
-	}
+	fmt.Println(fleet.ShardedSummaryTable(
+		fmt.Sprintf("aiopsd drain: %d regions, %d OCEs/region, queue bound %d, steal %v",
+			len(regionList), *oces, *queue, *steal),
+		sched.DrainSharded()))
 	c.MustExport()
 }
 

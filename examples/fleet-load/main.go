@@ -23,8 +23,8 @@ func main() {
 	for _, rate := range []float64{1, 3, 6} {
 		a := sys.Fleet(2, rate, 60, 7)
 		c := sys.FleetUnassisted(2, rate, 60, 7)
-		t.AddRow(rate, "assisted", a.MeanQueue.Minutes(), a.MeanTotal.Minutes(), a.P95Total.Minutes(), fmt.Sprintf("%.2f", a.Utilization))
-		t.AddRow(rate, "control", c.MeanQueue.Minutes(), c.MeanTotal.Minutes(), c.P95Total.Minutes(), fmt.Sprintf("%.2f", c.Utilization))
+		t.AddRow(rate, "assisted", a.MeanQueue.Minutes(), a.MeanResolution.Minutes(), a.P95Resolution.Minutes(), fmt.Sprintf("%.2f", a.Utilization))
+		t.AddRow(rate, "control", c.MeanQueue.Minutes(), c.MeanResolution.Minutes(), c.P95Resolution.Minutes(), fmt.Sprintf("%.2f", c.Utilization))
 	}
 	fmt.Println(t)
 	fmt.Println("The gap between arms grows super-linearly with load: faster")

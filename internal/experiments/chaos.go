@@ -66,7 +66,7 @@ func e16Up(dir string, p Params, r harness.Runner, seed int64) (*e16Boot, error)
 	if err != nil {
 		return nil, err
 	}
-	sched := fleet.NewLive(fleet.LiveConfig{
+	sched := fleet.NewSharded(fleet.ShardedLiveConfig{
 		OCEs: 2, QueueLimit: 4,
 		Obs: p.Obs, RunnerName: r.Name(),
 	})

@@ -16,11 +16,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/eval"
+	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/kb"
 	"repro/internal/llm"
 	"repro/internal/obs"
-	"repro/internal/ops"
 	"repro/internal/parallel"
 	"repro/internal/replayer"
 	"repro/internal/scenarios"
@@ -707,7 +707,7 @@ func E10FleetLoad(p Params) []*eval.Table {
 	}
 	type fleetRow struct {
 		name string
-		rep  *ops.Report
+		rep  *fleet.Report
 	}
 	// Each cell is a whole sub-simulation, so observability uses a
 	// private sink per cell, merged in cell order afterwards — the same
@@ -729,9 +729,10 @@ func E10FleetLoad(p Params) []*eval.Table {
 			sink = obs.NewSink()
 			cellSinks[i] = sink
 		}
-		return fleetRow{arm.Name(), ops.Simulate(ops.Config{
+		return fleetRow{arm.Name(), fleet.Simulate(fleet.Config{
 			OCEs: 2, ArrivalsPerHour: c.lambda, Incidents: p.Trials * 4,
 			Seed: p.Seed + 101, Runner: arm, Obs: sink,
+			Policy: fleet.FIFO, QueueLimit: 0,
 		})}
 	})
 	for _, sink := range cellSinks {
@@ -746,8 +747,8 @@ func E10FleetLoad(p Params) []*eval.Table {
 			continue
 		}
 		rep := tr.Value.rep
-		t.AddRow(cells[i].lambda, tr.Value.name, rep.MeanQueue.Minutes(), rep.MeanTotal.Minutes(),
-			rep.P95Total.Minutes(), fmt.Sprintf("%.2f", rep.Utilization))
+		t.AddRow(cells[i].lambda, tr.Value.name, rep.MeanQueue.Minutes(), rep.MeanResolution.Minutes(),
+			rep.P95Resolution.Minutes(), fmt.Sprintf("%.2f", rep.Utilization))
 	}
 	return []*eval.Table{t}
 }

@@ -81,7 +81,7 @@ func e15Cell(rate float64, p Params, r harness.Runner) (gateway.DrainSummary, er
 	seed := p.Seed + 151 // same arrivals per rung across arms: paired comparison
 	tape := e15Tape(rate, n, seed)
 
-	sched := fleet.NewLive(fleet.LiveConfig{
+	sched := fleet.NewSharded(fleet.ShardedLiveConfig{
 		OCEs: 2, QueueLimit: 8,
 		Obs: p.Obs, RunnerName: r.Name(),
 	})

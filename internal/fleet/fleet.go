@@ -18,8 +18,14 @@
 // operations — admission control, backpressure and graceful drain are
 // what turn a per-incident helper into an operable system.
 //
+// One scheduler runs every front end. ShardedScheduler (shard.go) keeps
+// one discrete-event engine (engine.go) per region; a single responder
+// cell is simply its one-region case. The batch simulations (Simulate
+// and SimulateSharded) and the live service (internal/gateway) all feed
+// it.
+//
 // Determinism is the core contract, shared with internal/parallel,
-// internal/faults and internal/obs. The simulation runs in three
+// internal/faults and internal/obs. The batch simulations run in three
 // phases:
 //
 //  1. Arrivals are pre-drawn serially from the config seed: arrival
@@ -31,10 +37,10 @@
 //     admission controller later sheds are discarded — speculation
 //     wastes a little compute to keep the phase embarrassingly
 //     parallel.)
-//  3. The discrete-event loop replays arrivals against the responder
-//     pool serially: admission, queueing, aging, dispatch and drain
-//     are pure functions of the pre-drawn arrivals and the session
-//     TTMs, so the schedule is identical at workers=1 and workers=N.
+//  3. The pre-drawn tape is offered to a ShardedScheduler and drained:
+//     admission, queueing, aging, dispatch and drain are pure
+//     functions of the pre-drawn arrivals and the session TTMs, so the
+//     schedule is identical at workers=1 and workers=N.
 package fleet
 
 import (
@@ -59,14 +65,13 @@ const (
 	// AgingStep waited, ties broken by arrival order. Aging prevents
 	// starvation of low-severity incidents under sustained load.
 	SeverityAging Policy = iota
-	// FIFO dispatches in strict arrival order — the legacy internal/ops
-	// discipline, kept for byte-compatible replays of the old simulator.
+	// FIFO dispatches in strict arrival order. With QueueLimit 0 it is
+	// the classic first-free model of experiment E10.
 	FIFO
 )
 
-// Config parameterizes a fleet simulation. The zero value of the
-// admission and aging knobs reproduces the legacy serial simulator:
-// unbounded queue, no shedding.
+// Config parameterizes a single-cell fleet simulation. A zero
+// QueueLimit means an unbounded queue that never sheds.
 type Config struct {
 	// OCEs is the responder pool size (default 3).
 	OCEs int
@@ -96,28 +101,9 @@ type Config struct {
 	// negative disables aging, leaving pure severity priority).
 	AgingStep time.Duration
 	// Obs, when non-nil, collects every admitted session's event
-	// stream (absorbed in arrival order), the fleet-level arrival and
-	// shed events, and the saturation gauges.
+	// stream and its fleet-level event (in the scheduler's processing
+	// order), the shed events, and the saturation gauges.
 	Obs *obs.Sink
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.OCEs <= 0 {
-		cfg.OCEs = 3
-	}
-	if cfg.ArrivalsPerHour <= 0 {
-		cfg.ArrivalsPerHour = 2
-	}
-	if cfg.Incidents <= 0 {
-		cfg.Incidents = 100
-	}
-	if len(cfg.Mix) == 0 {
-		cfg.Mix = scenarios.All()
-	}
-	if cfg.AgingStep == 0 {
-		cfg.AgingStep = 30 * time.Minute
-	}
-	return cfg
 }
 
 // Outcome is one arrival's fleet-level record, in arrival order.
@@ -128,8 +114,8 @@ type Outcome struct {
 	Scenario string
 	// Severity is the incident's severity class (0..3; 3 most severe).
 	Severity int
-	// Region is the fleet region the incident is homed in (sharded
-	// scheduler only; empty on the flat single-cell paths).
+	// Region is the fleet region the incident is homed in
+	// (DefaultRegion for a single-cell fleet).
 	Region string
 	// Shed marks an arrival the admission controller refused: it never
 	// occupied a responder and went straight to escalation.
@@ -185,8 +171,12 @@ type Report struct {
 }
 
 // arrival is one pre-drawn arrival: a pure function of (seed, index).
+// IDs are the zero-padded pre-draw index, so sorting by time with ties
+// kept in pre-draw order yields the scheduler's (At, ID) order.
 type arrival struct {
+	id       string
 	at       time.Duration
+	region   int // index into the sorted region list
 	scenario scenarios.Scenario
 	seed     int64
 }
@@ -199,114 +189,105 @@ type session struct {
 
 const never = time.Duration(math.MaxInt64)
 
-// Simulate runs the fleet model. See the package comment for the
+// arrivalID formats the pre-draw index as an arrival ID.
+func arrivalID(i int) string { return fmt.Sprintf("%07d", i) }
+
+// Simulate runs the single-cell fleet model: a one-region SimulateSharded
+// with its own arrival draw. See the package comment for the
 // three-phase structure that keeps it worker-count-independent.
 func Simulate(cfg Config) *Report {
-	cfg = cfg.withDefaults()
-	n := cfg.Incidents
+	sc := ShardedConfig{
+		OCEs: cfg.OCEs, ArrivalsPerHour: cfg.ArrivalsPerHour, Incidents: cfg.Incidents,
+		Mix: cfg.Mix, Runner: cfg.Runner, Seed: cfg.Seed, Workers: cfg.Workers,
+		Policy: cfg.Policy, QueueLimit: cfg.QueueLimit, AgingStep: cfg.AgingStep,
+		Obs: cfg.Obs,
+	}.withDefaults()
 
-	// Phase 1 — serial arrival pre-draw. The draw order per arrival
-	// (gap, scenario, session seed) matches the legacy serial simulator
-	// call for call, so seeds are byte-compatible with it.
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	arrivals := make([]arrival, n)
+	// Phase 1 — serial arrival pre-draw: gap, scenario, session seed per
+	// arrival and no region draw. E10, E14 and the imctl fleet golden
+	// pin this order.
+	rng := rand.New(rand.NewSource(sc.Seed))
+	draws := make([]arrival, sc.Incidents)
 	var now time.Duration
-	for i := 0; i < n; i++ {
-		now += time.Duration(rng.ExpFloat64() / cfg.ArrivalsPerHour * float64(time.Hour))
-		arrivals[i] = arrival{
+	for i := range draws {
+		now += time.Duration(rng.ExpFloat64() / sc.ArrivalsPerHour * float64(time.Hour))
+		draws[i] = arrival{
+			id:       arrivalID(i),
 			at:       now,
-			scenario: cfg.Mix[rng.Intn(len(cfg.Mix))],
+			scenario: sc.Mix[rng.Intn(len(sc.Mix))],
 			seed:     rng.Int63(),
 		}
 	}
+	return simulate(sc, draws).Total
+}
 
+// simulate runs phases 2 and 3 over a pre-drawn tape in (at, id) order.
+func simulate(cfg ShardedConfig, draws []arrival) *ShardedReport {
 	// Phase 2 — speculative parallel session execution. Each trial is
 	// self-contained: it builds its own world from the pre-drawn seed
 	// and buffers events privately. The trial pool's own derived seeds
 	// are ignored; arrival seeds come from phase 1.
+	n := len(draws)
 	or, observed := cfg.Runner.(harness.ObservedRunner)
 	var recs []*obs.Recorder
 	if cfg.Obs != nil && observed {
 		recs = make([]*obs.Recorder, n)
 	}
 	trials := parallel.RunTrials(n, cfg.Workers, cfg.Seed, func(_ int64, i int) session {
-		a := arrivals[i]
-		in := a.scenario.Build(rand.New(rand.NewSource(a.seed)))
+		d := draws[i]
+		in := d.scenario.Build(rand.New(rand.NewSource(d.seed)))
 		sev := in.Incident.Severity
 		var res harness.Result
 		if recs != nil {
-			rec := obs.AcquireRecorder(fmt.Sprintf("fleet/%04d", i))
+			rec := obs.AcquireRecorder("fleet/" + d.id)
 			recs[i] = rec
-			res = or.RunObserved(in, a.seed, rec)
+			res = or.RunObserved(in, d.seed, rec)
 		} else {
-			res = cfg.Runner.Run(in, a.seed)
+			res = cfg.Runner.Run(in, d.seed)
 		}
 		return session{res: res, severity: sev}
 	})
-	sessions := make([]session, n)
-	for i, tr := range trials {
-		if tr.Err != nil {
+
+	// Phase 3 — offer the tape to the sharded scheduler and drain it.
+	// Its batched ticks interleave regions and, with Steal on, move
+	// overflow across pools, so the whole phase is one discrete-event
+	// system.
+	s := NewSharded(ShardedLiveConfig{
+		Regions: cfg.Regions, OCEs: cfg.OCEs, Policy: cfg.Policy,
+		QueueLimit: cfg.QueueLimit, AgingStep: cfg.AgingStep,
+		Steal: cfg.Steal, BatchStep: cfg.BatchStep,
+		Obs: cfg.Obs, RunnerName: cfg.Runner.Name(), SessionPrefix: "fleet/",
+	})
+	s.pending = make([]LiveArrival, 0, n) // the whole tape is offered before any step
+	s.index = make(map[string]shardRef, n)
+	for i, d := range draws {
+		sess := trials[i].Value
+		if trials[i].Err != nil {
 			// A crashed session becomes a specialist hand-off, exactly
 			// as harness.PoolResult treats pooled trials.
-			sessions[i] = session{res: harness.Result{
-				Scenario: arrivals[i].scenario.Name(), Escalated: true, PlanErrors: 1,
+			sess = session{res: harness.Result{
+				Scenario: d.scenario.Name(), Escalated: true, PlanErrors: 1,
 			}}
-			continue
 		}
-		sessions[i] = tr.Value
-	}
-
-	// Phase 3 — serial discrete-event scheduling, on the same engine the
-	// live scheduler feeds one arrival at a time (see live.go). Arrivals
-	// enter in arrival order; the engine interleaves completions exactly
-	// as the historical in-line loop did.
-	eng := newEngine(cfg.OCEs, cfg.Policy, cfg.QueueLimit, cfg.AgingStep)
-	for idx := 0; idx < n; idx++ {
-		eng.add(Outcome{
-			Index: idx, Scenario: arrivals[idx].scenario.Name(),
-			Severity: sessions[idx].severity, ArrivedAt: arrivals[idx].at,
-			Result: sessions[idx].res,
-		}, sessions[idx])
-		eng.arrive(idx)
-	}
-	eng.completeUntil(never) // all arrivals in, run the pool idle: drained
-	rep := eng.report(cfg.OCEs, cfg.Obs, nil)
-
-	// Observability: per-arrival session streams absorb in arrival
-	// order, each followed by its fleet-level event, so the merged log
-	// is worker-count-independent. Shed arrivals discard their
-	// speculative session events — those sessions never happened.
-	if cfg.Obs != nil {
-		runnerName := cfg.Runner.Name()
-		for i := range rep.Outcomes {
-			o := &rep.Outcomes[i]
-			if o.Shed {
-				cfg.Obs.Emit(obs.Event{
-					Type: obs.EvFleetShed, At: o.ArrivedAt, Session: fmt.Sprintf("fleet/%04d", i),
-					Runner: runnerName, Scenario: o.Scenario,
-				})
-			} else {
-				if recs != nil {
-					cfg.Obs.Absorb(recs[i])
-				}
-				cfg.Obs.Emit(obs.Event{
-					Type: obs.EvFleetIncident, At: o.ArrivedAt, Session: fmt.Sprintf("fleet/%04d", i),
-					Runner: runnerName, Scenario: o.Scenario,
-					Queue: o.Queue, Resolution: o.Resolution,
-				})
-			}
-			if recs != nil && recs[i] != nil {
-				recs[i].Release()
-			}
+		var rec *obs.Recorder
+		if recs != nil {
+			rec = recs[i]
+		}
+		// Offers arrive presorted, so each insert is an append.
+		if err := s.Offer(LiveArrival{
+			ID: d.id, At: d.at, Scenario: d.scenario.Name(),
+			Severity: sess.severity, Region: cfg.Regions[d.region],
+			Result: sess.res, Events: rec,
+		}); err != nil {
+			panic("fleet: simulate offer: " + err.Error())
 		}
 	}
-
-	return rep
+	return s.DrainSharded()
 }
 
 // aggregate fills the report's summary statistics and saturation gauges.
-// labels scopes the gauges (nil for the flat single-cell paths; a region
-// label for per-region reports from the sharded scheduler).
+// labels scopes the gauges (nil for the fleet-wide total; a region
+// label for per-region reports).
 func aggregate(rep *Report, oces int, sink *obs.Sink, busySum, makespan time.Duration, mitigated int, labels obs.Labels) {
 	n := len(rep.Outcomes)
 	if n == 0 {

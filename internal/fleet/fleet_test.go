@@ -270,3 +270,91 @@ func TestFIFOMatchesLegacySemantics(t *testing.T) {
 		t.Fatal("unbounded legacy mode shed incidents")
 	}
 }
+
+// The tests below run the classic first-free model of experiment E10
+// and the aiops facade: FIFO dispatch over an unbounded queue.
+
+func fifoConfig(oces int, rate float64, n int, seed int64, r harness.Runner) Config {
+	return Config{OCEs: oces, ArrivalsPerHour: rate, Incidents: n, Seed: seed, Runner: r, Policy: FIFO}
+}
+
+func TestSimulateBasics(t *testing.T) {
+	t.Parallel()
+	rep := Simulate(fifoConfig(3, 2, 40, 1,
+		&harness.HelperRunner{KBase: currentKB(), Config: core.DefaultConfig()}))
+	if len(rep.Outcomes) != 40 || rep.Shed != 0 {
+		t.Fatalf("outcomes = %d, shed = %d", len(rep.Outcomes), rep.Shed)
+	}
+	for _, o := range rep.Outcomes {
+		if o.StartedAt < o.ArrivedAt {
+			t.Fatal("incident started before it arrived")
+		}
+		if o.Queue != o.StartedAt-o.ArrivedAt {
+			t.Fatal("queue accounting inconsistent")
+		}
+		if o.Resolution < o.Queue {
+			t.Fatal("resolution < queue")
+		}
+	}
+	if rep.Utilization <= 0 || rep.Utilization > 1 {
+		t.Fatalf("utilization = %v", rep.Utilization)
+	}
+	if rep.MitigatedRate < 0.9 {
+		t.Fatalf("helper fleet mitigated only %v", rep.MitigatedRate)
+	}
+	if rep.P95Resolution < rep.MeanResolution/2 {
+		t.Fatal("percentile plumbing broken")
+	}
+}
+
+// TestQueueingGrowsWithLoad: the same pool under higher arrival rates
+// must show higher utilization and queueing.
+func TestQueueingGrowsWithLoad(t *testing.T) {
+	t.Parallel()
+	runner := &harness.ControlRunner{KBase: currentKB()}
+	low := Simulate(fifoConfig(2, 0.5, 60, 2, runner))
+	high := Simulate(fifoConfig(2, 6, 60, 2, runner))
+	if high.MeanQueue <= low.MeanQueue {
+		t.Errorf("queueing did not grow with load: %v vs %v", high.MeanQueue, low.MeanQueue)
+	}
+	if high.Utilization <= low.Utilization {
+		t.Errorf("utilization did not grow with load: %v vs %v", high.Utilization, low.Utilization)
+	}
+}
+
+// TestHelperFleetSurvivesLoadControlDrowns is the fleet-level headline:
+// at an arrival rate where the unassisted pool saturates, the
+// helper-assisted pool keeps customer-visible resolution time bounded.
+func TestHelperFleetSurvivesLoadControlDrowns(t *testing.T) {
+	t.Parallel()
+	kbase := currentKB()
+	assisted := Simulate(fifoConfig(2, 4, 80, 3,
+		&harness.HelperRunner{KBase: kbase, Config: core.DefaultConfig()}))
+	control := Simulate(fifoConfig(2, 4, 80, 3, &harness.ControlRunner{KBase: kbase}))
+	if assisted.MeanResolution >= control.MeanResolution {
+		t.Fatalf("assisted fleet not faster: %v vs %v", assisted.MeanResolution, control.MeanResolution)
+	}
+	// The gap must exceed the per-incident TTM gap: queueing amplifies.
+	if control.MeanQueue < assisted.MeanQueue*2 {
+		t.Errorf("expected queue amplification: control %v vs assisted %v",
+			control.MeanQueue, assisted.MeanQueue)
+	}
+}
+
+func TestSimulateDefaultsAndDeterminism(t *testing.T) {
+	t.Parallel()
+	cfg := Config{
+		Runner: &harness.ControlRunner{KBase: currentKB()}, Seed: 4, Incidents: 20, Policy: FIFO,
+		Mix: []scenarios.Scenario{&scenarios.GrayLink{}},
+	}
+	a, b := Simulate(cfg), Simulate(cfg)
+	if a.MeanResolution != b.MeanResolution || a.MeanQueue != b.MeanQueue {
+		t.Fatal("fleet simulation not deterministic")
+	}
+	if a.Outcomes[0].Scenario != "gray-link" {
+		t.Fatal("mix not honored")
+	}
+	if a.Outcomes[0].Region != DefaultRegion {
+		t.Fatalf("single-cell outcome homed in %q", a.Outcomes[0].Region)
+	}
+}

@@ -9,9 +9,26 @@ package fleet
 // Hyperscale incident management is region-sharded: every region owns a
 // local responder pool, storms correlate arrivals across regions, and
 // overload escalates across region boundaries (the Malik hyperscale
-// architecture in PAPERS.md). The single-cell engine in live.go scales
-// to one responder pool; this file composes R of them without giving up
-// one byte of the determinism contract:
+// architecture in PAPERS.md). The single-cell engine in engine.go
+// scales to one responder pool; this file composes R of them without
+// giving up one byte of the determinism contract. A one-region
+// scheduler is the single-cell fleet: every front end (Simulate,
+// SimulateSharded, the gateway) runs on this type.
+//
+// The bridge to real time is deliberately thin: the scheduler has no
+// clock. Callers (internal/gateway) own a Clock and push its watermark
+// in via StepTo; arrivals carry explicit simulated-clock timestamps and
+// are buffered until the watermark passes them, then admitted in
+// (At, ID) order. Two properties make this deterministic under
+// concurrent submission:
+//
+//  1. Offer rejects arrivals stamped before the current watermark, so
+//     once the watermark passes time t the set of arrivals at or before
+//     t is frozen.
+//  2. Ties at the same timestamp order by ID, which submission
+//     interleaving cannot change.
+//
+// Within that frame:
 //
 //   - Batched ticks. The scheduler advances all shards to a common
 //     watermark per tick (BatchStep apart), not per event. Within a
@@ -33,7 +50,7 @@ package fleet
 //     while its Outcome stays homed (Region is always the home region;
 //     LiveStatus.HandledBy names the executing region). No idle
 //     responder anywhere: the arrival sheds at its home shard, exactly
-//     as the single-cell admission controller would have.
+//     as a steal-free admission controller would have.
 //
 // Every choice above is a pure function of the accepted arrival set and
 // the StepTo call sequence — never of submission interleaving, worker
@@ -42,9 +59,12 @@ package fleet
 // reports, logs and metrics.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -52,22 +72,23 @@ import (
 )
 
 // DefaultRegion homes arrivals that do not name a region — and is the
-// implicit region of every pre-sharding journal record and single-cell
-// scheduler.
+// implicit region of every pre-sharding journal record and the one
+// region of a single-cell fleet.
 const DefaultRegion = "default"
 
 // ErrUnknownRegion rejects an arrival naming a region the scheduler was
 // not configured with.
 var ErrUnknownRegion = errors.New("fleet: unknown region")
 
-// Scheduler is the gateway-facing contract the single-cell LiveScheduler
-// and the ShardedScheduler both satisfy: submit arrivals, push the
-// simulated-clock watermark, inspect state, drain.
+// Scheduler is the gateway-facing contract of ShardedScheduler: submit
+// arrivals, push the simulated-clock watermark, inspect state, drain.
+// It stays an interface so callers can decorate the scheduler (a
+// tracing wrapper, say).
 type Scheduler interface {
 	Offer(LiveArrival) error
 	StepTo(time.Duration)
 	Lookup(id string) (LiveStatus, bool)
-	Drain() *Report
+	DrainSharded() *ShardedReport
 	Drained() bool
 	Depth() (pending, queued int)
 	Watermark() time.Duration
@@ -75,10 +96,7 @@ type Scheduler interface {
 	Regions() []string
 }
 
-var (
-	_ Scheduler = (*LiveScheduler)(nil)
-	_ Scheduler = (*ShardedScheduler)(nil)
-)
+var _ Scheduler = (*ShardedScheduler)(nil)
 
 // ShardedLiveConfig parameterizes a sharded live scheduler.
 type ShardedLiveConfig struct {
@@ -87,7 +105,7 @@ type ShardedLiveConfig struct {
 	Regions []string
 	// OCEs is each region's responder pool size (default 3).
 	OCEs int
-	// Policy, QueueLimit and AgingStep behave exactly as in LiveConfig,
+	// Policy, QueueLimit and AgingStep behave exactly as in Config,
 	// applied per shard.
 	Policy     Policy
 	QueueLimit int
@@ -100,13 +118,20 @@ type ShardedLiveConfig struct {
 	// watermark stride, and therefore the steal-decision latency
 	// (default 15 minutes).
 	BatchStep time.Duration
-	// Obs, RunnerName and OnShed behave exactly as in LiveConfig.
-	Obs        *obs.Sink
+	// Obs, when non-nil, receives each admitted arrival's session event
+	// stream (absorbed at dispatch time, in deterministic processing
+	// order) and the fleet-level incident/shed events.
+	Obs *obs.Sink
+	// RunnerName stamps the fleet-level events.
 	RunnerName string
 	// SessionPrefix prefixes arrival IDs in fleet-level event session
-	// labels (default "gw/", matching the single-cell scheduler).
+	// labels (default "gw/", the gateway's).
 	SessionPrefix string
-	OnShed        func(id string, at time.Duration)
+	// OnShed, when non-nil, fires when admission control sheds an
+	// arrival (the gateway journals the transition). Called with the
+	// scheduler lock held: keep it quick and never call back into the
+	// scheduler.
+	OnShed func(id string, at time.Duration)
 }
 
 func (cfg ShardedLiveConfig) withDefaults() ShardedLiveConfig {
@@ -157,13 +182,16 @@ type regionShard struct {
 	stolenOut int // arrivals this shard's saturation pushed elsewhere
 }
 
-// shardRef locates an admitted arrival: the shard executing it and its
-// outcome index there (the executing shard differs from the outcome's
-// home Region exactly when the arrival was stolen).
+// shardRef locates an accepted arrival: pendingRef until the watermark
+// admits it, then the shard executing it and its outcome index there
+// (the executing shard differs from the outcome's home Region exactly
+// when the arrival was stolen).
 type shardRef struct {
 	region string
 	idx    int
 }
+
+var pendingRef = shardRef{idx: -1}
 
 // ShardedScheduler runs one engine per region behind the Scheduler
 // contract. Safe for concurrent use.
@@ -174,7 +202,6 @@ type ShardedScheduler struct {
 	shards  map[string]*regionShard
 
 	pending   []LiveArrival // global (At, ID) order across all regions
-	pendIdx   map[string]bool
 	index     map[string]shardRef
 	overflow  []LiveArrival // saturated-home arrivals awaiting this tick's steal pass
 	watermark time.Duration
@@ -190,7 +217,6 @@ func NewSharded(cfg ShardedLiveConfig) *ShardedScheduler {
 		cfg:     cfg,
 		regions: normalizeRegions(cfg.Regions),
 		shards:  map[string]*regionShard{},
-		pendIdx: map[string]bool{},
 		index:   map[string]shardRef{},
 	}
 	for _, r := range s.regions {
@@ -209,8 +235,9 @@ func (s *ShardedScheduler) Regions() []string {
 	return append([]string(nil), s.regions...)
 }
 
-// SetOnShed installs (or replaces) the admission-shed hook; contract as
-// in LiveScheduler.
+// SetOnShed installs (or replaces) the admission-shed hook after
+// construction — the gateway wires its write-ahead journal here. The
+// hook contract matches ShardedLiveConfig.OnShed.
 func (s *ShardedScheduler) SetOnShed(fn func(id string, at time.Duration)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -218,8 +245,9 @@ func (s *ShardedScheduler) SetOnShed(fn func(id string, at time.Duration)) {
 }
 
 // Offer submits one arrival to its home region's shard. An empty Region
-// means DefaultRegion; an unconfigured one is ErrUnknownRegion. The
-// duplicate/stale rules match the single-cell scheduler.
+// means DefaultRegion; an unconfigured one is ErrUnknownRegion. It
+// never blocks on scheduling work: the arrival parks in the pending set
+// until the watermark passes its At.
 func (s *ShardedScheduler) Offer(a LiveArrival) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -235,9 +263,6 @@ func (s *ShardedScheduler) Offer(a LiveArrival) error {
 	if _, ok := s.shards[a.Region]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownRegion, a.Region)
 	}
-	if s.pendIdx[a.ID] {
-		return fmt.Errorf("%w: %s", ErrDuplicateID, a.ID)
-	}
 	if _, ok := s.index[a.ID]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicateID, a.ID)
 	}
@@ -251,7 +276,7 @@ func (s *ShardedScheduler) Offer(a LiveArrival) error {
 	s.pending = append(s.pending, LiveArrival{})
 	copy(s.pending[at+1:], s.pending[at:])
 	s.pending[at] = a
-	s.pendIdx[a.ID] = true
+	s.index[a.ID] = pendingRef
 	return nil
 }
 
@@ -296,7 +321,6 @@ func (s *ShardedScheduler) tickLocked(w time.Duration) {
 	for len(s.pending) > 0 && s.pending[0].At <= w {
 		a := s.pending[0]
 		s.pending = s.pending[1:]
-		delete(s.pendIdx, a.ID)
 		s.admitLocked(a)
 	}
 	for _, r := range s.regions {
@@ -414,12 +438,12 @@ func (s *ShardedScheduler) processedShard(sh *regionShard, idx int) {
 func (s *ShardedScheduler) Lookup(id string) (LiveStatus, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.pendIdx[id] {
-		return LiveStatus{State: StatePending}, true
-	}
 	ref, ok := s.index[id]
 	if !ok {
 		return LiveStatus{}, false
+	}
+	if ref == pendingRef {
+		return LiveStatus{State: StatePending}, true
 	}
 	sh := s.shards[ref.region]
 	o := sh.eng.outcomes[ref.idx]
@@ -456,7 +480,8 @@ func (s *ShardedScheduler) Watermark() time.Duration {
 	return s.watermark
 }
 
-// Drained reports whether Drain has closed the intake.
+// Drained reports whether DrainSharded has closed the intake (the
+// gateway's /readyz flips not-ready on it).
 func (s *ShardedScheduler) Drained() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -473,13 +498,11 @@ func (s *ShardedScheduler) Depth() (pending, queued int) {
 	return len(s.pending), queued
 }
 
-// Drain closes the intake, ticks every pending arrival through its
-// shard, runs all pools to idle, and returns the fleet-wide aggregate
-// report. DrainSharded returns the per-region breakdown as well; both
-// are idempotent.
-func (s *ShardedScheduler) Drain() *Report { return s.DrainSharded().Total }
-
-// DrainSharded drains and returns the full per-region report.
+// DrainSharded closes the intake, ticks every pending arrival through
+// its shard, runs all pools to idle, and returns the fleet-wide and
+// per-region reports (idempotent afterwards). This is the
+// graceful-shutdown path — and, for the batch simulations and sim-clock
+// harnesses, the run-to-completion step.
 func (s *ShardedScheduler) DrainSharded() *ShardedReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -498,23 +521,6 @@ func (s *ShardedScheduler) DrainSharded() *ShardedReport {
 	s.drained = true
 	s.rep = s.buildReportLocked()
 	return s.rep
-}
-
-// buildReportLocked assembles the per-region and fleet-wide reports.
-func (s *ShardedScheduler) buildReportLocked() *ShardedReport {
-	engines := make([]*engine, len(s.regions))
-	ids := make([][]string, len(s.regions))
-	stolenIn := make([]int, len(s.regions))
-	stolenOut := make([]int, len(s.regions))
-	for i, r := range s.regions {
-		sh := s.shards[r]
-		engines[i] = sh.eng
-		ids[i] = sh.ids
-		stolenIn[i] = sh.stolenIn
-		stolenOut[i] = sh.stolenOut
-	}
-	return assembleSharded(s.regions, engines, ids, s.cfg.OCEs, s.cfg.Obs,
-		s.stolen, stolenIn, stolenOut)
 }
 
 // ---------------------------------------------------------------------------
@@ -547,22 +553,24 @@ type ShardedReport struct {
 	Stolen int
 }
 
-// assembleSharded builds the report set from per-region engines (after
-// they ran to idle). Shared by the live sharded scheduler and
-// SimulateSharded's steal-free parallel path.
-func assembleSharded(regions []string, engines []*engine, ids [][]string,
-	oces int, sink *obs.Sink, stolen int, stolenIn, stolenOut []int) *ShardedReport {
-	rep := &ShardedReport{Stolen: stolen}
+// buildReportLocked assembles the per-region and fleet-wide reports
+// from the shard engines, after they ran to idle.
+func (s *ShardedScheduler) buildReportLocked() *ShardedReport {
+	oces, sink := s.cfg.OCEs, s.cfg.Obs
+	rep := &ShardedReport{Stolen: s.stolen}
 	var busySum, makespan time.Duration
 	shed, peak, mitigated := 0, 0, 0
-	type keyed struct {
-		o  Outcome
-		id string
+	// The fleet-wide outcomes merge every shard's in (ArrivedAt, ID)
+	// order; sort small references, not the outcomes themselves.
+	type ref struct {
+		sh  *regionShard
+		idx int
 	}
-	var merged []keyed
-	for i, r := range regions {
-		e := engines[i]
-		rr := RegionReport{Region: r, StolenIn: stolenIn[i], StolenOut: stolenOut[i]}
+	refs := make([]ref, 0, len(s.index))
+	for _, r := range s.regions {
+		sh := s.shards[r]
+		e := sh.eng
+		rr := RegionReport{Region: r, StolenIn: sh.stolenIn, StolenOut: sh.stolenOut}
 		rr.Report = e.report(oces, sink, obs.Labels{"region": r})
 		rep.Regions = append(rep.Regions, rr)
 		busySum += e.busySum
@@ -574,27 +582,26 @@ func assembleSharded(regions []string, engines []*engine, ids [][]string,
 			peak = e.peak
 		}
 		for j := range e.outcomes {
-			o := e.outcomes[j]
-			if !o.Shed && o.Result.Mitigated {
+			if o := &e.outcomes[j]; !o.Shed && o.Result.Mitigated {
 				mitigated++
 			}
-			merged = append(merged, keyed{o: o, id: ids[i][j]})
+			refs = append(refs, ref{sh, j})
 		}
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].o.ArrivedAt != merged[j].o.ArrivedAt {
-			return merged[i].o.ArrivedAt < merged[j].o.ArrivedAt
+	slices.SortFunc(refs, func(a, b ref) int {
+		if c := cmp.Compare(a.sh.eng.outcomes[a.idx].ArrivedAt, b.sh.eng.outcomes[b.idx].ArrivedAt); c != 0 {
+			return c
 		}
-		return merged[i].id < merged[j].id
+		return strings.Compare(a.sh.ids[a.idx], b.sh.ids[b.idx])
 	})
-	outs := make([]Outcome, len(merged))
-	for i := range merged {
-		outs[i] = merged[i].o
+	outs := make([]Outcome, len(refs))
+	for i, rf := range refs {
+		outs[i] = rf.sh.eng.outcomes[rf.idx]
 		outs[i].Index = i
 	}
 	total := &Report{Outcomes: outs, Shed: shed, PeakQueueDepth: peak}
 	total.Admitted = len(outs) - shed
-	aggregate(total, oces*len(regions), sink, busySum, makespan, mitigated, nil)
+	aggregate(total, oces*len(s.regions), sink, busySum, makespan, mitigated, nil)
 	rep.Total = total
 	return rep
 }

@@ -45,26 +45,6 @@ func regionNames(n int) []string {
 	return out
 }
 
-// TestShardCountIndependence pins the steal-free contract from the
-// issue: with stealing disabled the regions are independent systems, so
-// running their engines on 1 vs 16 shard executors must produce
-// byte-identical per-region tables.
-func TestShardCountIndependence(t *testing.T) {
-	t.Parallel()
-	run := func(shards int) string {
-		rep := SimulateSharded(ShardedConfig{
-			Regions: regionNames(16), OCEs: 2, ArrivalsPerHour: 6, Incidents: 2000,
-			QueueLimit: 4, Seed: 99, Workers: 4, Shards: shards,
-			Mix: []scenarios.Scenario{shardScenario{}}, Runner: shardRunner{},
-			Storm: scenarios.StormConfig{Correlation: 0.3},
-		})
-		return ShardedSummaryTable("shards", rep).String()
-	}
-	if a, b := run(1), run(16); a != b {
-		t.Fatalf("per-region tables differ between 1 and 16 shards:\n%s\nvs\n%s", a, b)
-	}
-}
-
 // TestShardedWorkerByteIdentity is the core determinism claim with the
 // full machinery on — storms, stealing, observability: workers=1 and
 // workers=8 must agree byte-for-byte on tables, event logs and metrics.
@@ -225,32 +205,36 @@ func TestShardedRegionValidation(t *testing.T) {
 }
 
 // TestShardedSingleRegionMatchesLive: a one-region sharded scheduler
-// (stealing off) is semantically the single-cell live scheduler — the
-// drained outcomes must match field-for-field apart from the region
-// stamp, and the aggregate tables byte-for-byte.
+// (stealing off) is semantically the single-cell live fleet — one engine
+// fed every arrival in order and run to idle. The drained outcomes must
+// match field-for-field and the aggregate tables byte-for-byte.
 func TestShardedSingleRegionMatchesLive(t *testing.T) {
 	t.Parallel()
-	arrivals := liveArrivalSet(11, 80)
+	arrivals := liveArrivalSet(11, 80, []string{DefaultRegion})
 
-	live := NewLive(LiveConfig{OCEs: 2, QueueLimit: 4})
+	eng := newEngine(2, SeverityAging, 4, 30*time.Minute)
+	for i, a := range arrivals {
+		eng.add(Outcome{
+			Index: i, Scenario: a.Scenario, Severity: a.Severity,
+			Region: DefaultRegion, ArrivedAt: a.At, Result: a.Result,
+		}, session{res: a.Result, severity: a.Severity})
+		eng.arrive(i)
+	}
+	eng.completeUntil(never)
+	lr := eng.report(2, nil, nil)
+
 	sharded := NewSharded(ShardedLiveConfig{OCEs: 2, QueueLimit: 4})
 	for _, a := range arrivals {
-		if err := live.Offer(a); err != nil {
-			t.Fatal(err)
-		}
 		if err := sharded.Offer(a); err != nil {
 			t.Fatal(err)
 		}
 	}
-	lr := live.Drain()
-	sr := sharded.Drain()
+	sr := sharded.DrainSharded().Total
 	if len(lr.Outcomes) != len(sr.Outcomes) {
 		t.Fatalf("outcome counts differ: %d vs %d", len(lr.Outcomes), len(sr.Outcomes))
 	}
 	for i := range sr.Outcomes {
-		want, got := lr.Outcomes[i], sr.Outcomes[i]
-		got.Region = "" // live leaves the region unset; sharded stamps home
-		if !reflect.DeepEqual(want, got) {
+		if want, got := lr.Outcomes[i], sr.Outcomes[i]; !reflect.DeepEqual(want, got) {
 			t.Fatalf("outcome %d differs:\nlive    %+v\nsharded %+v", i, want, got)
 		}
 	}

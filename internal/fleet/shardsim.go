@@ -1,24 +1,13 @@
 package fleet
 
 // SimulateSharded: the closed-form (pre-drawn) multi-region fleet
-// simulation — Simulate's counterpart over the sharded scheduler. The
-// three-phase structure and the determinism contract carry over:
-//
-//  1. Arrivals pre-draw serially from the config seed: a merged Poisson
-//     process at R × ArrivalsPerHour routed uniformly across regions,
-//     plus correlated storm echoes (same scenario class landing in
-//     other regions within the storm window — scenarios.StormConfig).
-//     Arrival i's (time, region, scenario, session seed) is a pure
-//     function of (seed, i).
-//  2. Sessions execute speculatively on the parallel trial pool, keyed
-//     by pre-draw index.
-//  3. Scheduling is exact and worker-count-independent: with stealing
-//     on, every arrival feeds the serial ShardedScheduler (batched
-//     ticks, deterministic steal); with stealing off, regions are fully
-//     independent discrete-event systems, so each region's engine runs
-//     to completion on its own executor (Shards bounds the concurrency)
-//     and the merged output is byte-identical at Shards=1 and
-//     Shards=N — the sharded analogue of the workers contract.
+// simulation. It differs from Simulate only in phase 1, the arrival
+// draw: a merged Poisson process at R × ArrivalsPerHour routed
+// uniformly across regions, plus correlated storm echoes (same scenario
+// class landing in other regions within the storm window —
+// scenarios.StormConfig). Arrival i's (time, region, scenario, session
+// seed) is a pure function of (seed, i). Phases 2 and 3 are shared with
+// Simulate (fleet.go).
 
 import (
 	"fmt"
@@ -29,7 +18,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/scenarios"
 )
 
@@ -50,9 +38,6 @@ type ShardedConfig struct {
 	Runner  harness.Runner
 	Seed    int64
 	Workers int
-	// Shards bounds the concurrent per-region schedulers on the
-	// steal-free path (<= 0: Workers). Never changes an output byte.
-	Shards int
 	// Policy, QueueLimit and AgingStep apply per region, as in Config.
 	Policy     Policy
 	QueueLimit int
@@ -71,6 +56,7 @@ func (cfg ShardedConfig) withDefaults() ShardedConfig {
 	if len(cfg.Regions) == 0 {
 		cfg.Regions = []string{DefaultRegion}
 	}
+	cfg.Regions = normalizeRegions(cfg.Regions)
 	if cfg.OCEs <= 0 {
 		cfg.OCEs = 3
 	}
@@ -89,27 +75,13 @@ func (cfg ShardedConfig) withDefaults() ShardedConfig {
 	if cfg.BatchStep <= 0 {
 		cfg.BatchStep = 15 * time.Minute
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = cfg.Workers
-	}
 	return cfg
-}
-
-// shardDraw is one pre-drawn arrival. IDs are the zero-padded pre-draw
-// index, so the stable sort below yields global (At, ID) order.
-type shardDraw struct {
-	id       string
-	at       time.Duration
-	region   int // index into the sorted region list
-	scenario scenarios.Scenario
-	seed     int64
 }
 
 // SimulateSharded runs the multi-region fleet model.
 func SimulateSharded(cfg ShardedConfig) *ShardedReport {
 	cfg = cfg.withDefaults()
-	regions := normalizeRegions(cfg.Regions)
-	R := len(regions)
+	R := len(cfg.Regions)
 	n := cfg.Incidents
 
 	// Phase 1 — serial pre-draw: merged Poisson arrivals routed across
@@ -117,168 +89,33 @@ func SimulateSharded(cfg ShardedConfig) *ShardedReport {
 	// scenario class in other regions. The rng call order per primary is
 	// fixed (gap, region, scenario, seed, storm draw, then a region and
 	// seed per echo), so the arrival set is a pure function of the seed.
+	// The region draw consumes a value even at R = 1, so one-region runs
+	// differ from Simulate's draw.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	draws := make([]shardDraw, 0, n)
+	draws := make([]arrival, 0, n)
 	var now time.Duration
 	for len(draws) < n {
 		now += time.Duration(rng.ExpFloat64() / (cfg.ArrivalsPerHour * float64(R)) * float64(time.Hour))
 		ri := rng.Intn(R)
 		sc := cfg.Mix[rng.Intn(len(cfg.Mix))]
-		draws = append(draws, shardDraw{at: now, region: ri, scenario: sc, seed: rng.Int63()})
+		draws = append(draws, arrival{at: now, region: ri, scenario: sc, seed: rng.Int63()})
 		if R > 1 && cfg.Storm.Correlation > 0 {
 			d := cfg.Storm.Draw(rng)
 			for e := 0; e < d.Fanout && len(draws) < n; e++ {
 				echo := (ri + 1 + rng.Intn(R-1)) % R
-				draws = append(draws, shardDraw{
+				draws = append(draws, arrival{
 					at: now + d.Offsets[e], region: echo, scenario: sc, seed: rng.Int63(),
 				})
 			}
 		}
 	}
 	for i := range draws {
-		draws[i].id = fmt.Sprintf("%07d", i)
+		draws[i].id = arrivalID(i)
 	}
 	// Stable by time: equal times keep pre-draw (= ID) order, so the
 	// global order is exactly (At, ID).
 	sort.SliceStable(draws, func(i, j int) bool { return draws[i].at < draws[j].at })
-
-	// Phase 2 — speculative parallel session execution, as in Simulate.
-	or, observed := cfg.Runner.(harness.ObservedRunner)
-	var recs []*obs.Recorder
-	if cfg.Obs != nil && observed {
-		recs = make([]*obs.Recorder, n)
-	}
-	trials := parallel.RunTrials(n, cfg.Workers, cfg.Seed, func(_ int64, i int) session {
-		d := draws[i]
-		in := d.scenario.Build(rand.New(rand.NewSource(d.seed)))
-		sev := in.Incident.Severity
-		var res harness.Result
-		if recs != nil {
-			rec := obs.AcquireRecorder("fleet/" + d.id)
-			recs[i] = rec
-			res = or.RunObserved(in, d.seed, rec)
-		} else {
-			res = cfg.Runner.Run(in, d.seed)
-		}
-		return session{res: res, severity: sev}
-	})
-	sessions := make([]session, n)
-	for i, tr := range trials {
-		if tr.Err != nil {
-			sessions[i] = session{res: harness.Result{
-				Scenario: draws[i].scenario.Name(), Escalated: true, PlanErrors: 1,
-			}}
-			continue
-		}
-		sessions[i] = tr.Value
-	}
-
-	// Phase 3 — scheduling.
-	if cfg.Steal {
-		return simulateStealing(cfg, regions, draws, sessions, recs)
-	}
-	return simulateIndependent(cfg, regions, draws, sessions, recs)
-}
-
-// simulateStealing feeds every arrival through the serial sharded
-// scheduler: batched ticks interleave regions and the steal pass moves
-// overflow across pools, so the whole phase is one discrete-event
-// system.
-func simulateStealing(cfg ShardedConfig, regions []string,
-	draws []shardDraw, sessions []session, recs []*obs.Recorder) *ShardedReport {
-	s := NewSharded(ShardedLiveConfig{
-		Regions: regions, OCEs: cfg.OCEs, Policy: cfg.Policy,
-		QueueLimit: cfg.QueueLimit, AgingStep: cfg.AgingStep,
-		Steal: true, BatchStep: cfg.BatchStep,
-		Obs: cfg.Obs, RunnerName: cfg.Runner.Name(), SessionPrefix: "fleet/",
-	})
-	for i := range draws {
-		d := draws[i]
-		var rec *obs.Recorder
-		if recs != nil {
-			rec = recs[i]
-		}
-		// Offers arrive presorted, so each insert is an append.
-		if err := s.Offer(LiveArrival{
-			ID: d.id, At: d.at, Scenario: d.scenario.Name(),
-			Severity: sessions[i].severity, Region: regions[d.region],
-			Result: sessions[i].res, Events: rec,
-		}); err != nil {
-			panic("fleet: sharded simulate offer: " + err.Error())
-		}
-	}
-	return s.DrainSharded()
-}
-
-// simulateIndependent runs each region's engine to completion on its
-// own executor — with stealing off, regions never interact, so the
-// per-region schedules are embarrassingly parallel and Shards=1 vs N is
-// byte-identical. Observability then emits serially in region-major,
-// arrival order.
-func simulateIndependent(cfg ShardedConfig, regions []string,
-	draws []shardDraw, sessions []session, recs []*obs.Recorder) *ShardedReport {
-	R := len(regions)
-	perRegion := make([][]int, R)
-	for i := range draws {
-		perRegion[draws[i].region] = append(perRegion[draws[i].region], i)
-	}
-	runs := parallel.RunTrials(R, cfg.Shards, cfg.Seed, func(_ int64, r int) *engine {
-		eng := newEngine(cfg.OCEs, cfg.Policy, cfg.QueueLimit, cfg.AgingStep)
-		for _, i := range perRegion[r] {
-			idx := eng.add(Outcome{
-				Index: len(eng.outcomes), Scenario: draws[i].scenario.Name(),
-				Severity: sessions[i].severity, Region: regions[r],
-				ArrivedAt: draws[i].at, Result: sessions[i].res,
-			}, sessions[i])
-			eng.arrive(idx)
-		}
-		eng.completeUntil(never)
-		return eng
-	})
-	engines := make([]*engine, R)
-	ids := make([][]string, R)
-	for r, tr := range runs {
-		if tr.Err != nil {
-			panic(tr.Err)
-		}
-		engines[r] = tr.Value
-		ids[r] = make([]string, len(perRegion[r]))
-		for j, i := range perRegion[r] {
-			ids[r][j] = draws[i].id
-		}
-	}
-
-	if cfg.Obs != nil {
-		runnerName := cfg.Runner.Name()
-		for r := 0; r < R; r++ {
-			eng := engines[r]
-			for j := range eng.outcomes {
-				o := &eng.outcomes[j]
-				i := perRegion[r][j]
-				sess := "fleet/" + draws[i].id
-				if o.Shed {
-					cfg.Obs.Emit(obs.Event{
-						Type: obs.EvFleetShed, At: o.ArrivedAt, Session: sess,
-						Runner: runnerName, Scenario: o.Scenario, Region: o.Region,
-					})
-				} else {
-					if recs != nil {
-						cfg.Obs.Absorb(recs[i])
-					}
-					cfg.Obs.Emit(obs.Event{
-						Type: obs.EvFleetIncident, At: o.ArrivedAt, Session: sess,
-						Runner: runnerName, Scenario: o.Scenario, Region: o.Region,
-						Queue: o.Queue, Resolution: o.Resolution,
-					})
-				}
-				if recs != nil && recs[i] != nil {
-					recs[i].Release()
-				}
-			}
-		}
-	}
-	return assembleSharded(regions, engines, ids, cfg.OCEs, cfg.Obs,
-		0, make([]int, R), make([]int, R))
+	return simulate(cfg, draws)
 }
 
 // ShardedSummaryTable renders one row per region plus the fleet total —

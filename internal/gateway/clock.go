@@ -9,9 +9,9 @@ import (
 // units (a Duration since the service epoch — the same timeline every
 // session TTM, queue delay and obs event timestamp lives on).
 //
-// This is the wall-clock/sim-clock bridge the live scheduler needs:
+// This is the wall-clock/sim-clock bridge the fleet scheduler needs:
 // the scheduler itself never reads time, it only receives watermarks
-// (fleet.LiveScheduler.StepTo), so WHERE the watermark comes from is a
+// (fleet.Scheduler.StepTo), so WHERE the watermark comes from is a
 // pluggable policy. A WallClock maps real elapsed time onto the
 // simulated timeline for the long-lived service; a SimClock advances
 // only when told to, which is what makes the whole HTTP surface — and

@@ -33,7 +33,7 @@ func newStackWith(t *testing.T, oces, queueLimit int, mut func(*Config)) (*testS
 	kb.ApplyFastpathUpdate(kbase)
 	runner := &harness.HelperRunner{Label: "assisted-helper", KBase: kbase, Config: core.DefaultConfig()}
 	sink := obs.NewSink()
-	sched := fleet.NewLive(fleet.LiveConfig{
+	sched := fleet.NewSharded(fleet.ShardedLiveConfig{
 		OCEs: oces, QueueLimit: queueLimit,
 		Obs: sink, RunnerName: runner.Name(),
 	})
@@ -315,7 +315,7 @@ func TestSSEWriteTimeoutExemptAndShutdown(t *testing.T) {
 	t.Parallel()
 	runner := instantRunner{}
 	sink := obs.NewSink()
-	sched := fleet.NewLive(fleet.LiveConfig{OCEs: 1, Obs: sink, RunnerName: runner.Name()})
+	sched := fleet.NewSharded(fleet.ShardedLiveConfig{OCEs: 1, Obs: sink, RunnerName: runner.Name()})
 	clock := NewSimClock()
 	gw := NewServer(Config{
 		Keys:  map[string]string{"k-tenant-a": "tenant-a"},

@@ -68,6 +68,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -109,10 +110,9 @@ type Config struct {
 	Keys map[string]string
 	// Clock is the simulated-time source (see clock.go).
 	Clock Clock
-	// Sched is the fleet scheduler arrivals feed into: a single-cell
-	// *fleet.LiveScheduler or a multi-region *fleet.ShardedScheduler.
-	// The gateway validates POST regions against Sched.Regions() and
-	// renders the sharded drain summary when the scheduler is sharded.
+	// Sched is the fleet scheduler arrivals feed into (a
+	// *fleet.ShardedScheduler, one region for a single cell). The
+	// gateway validates POST regions against Sched.Regions().
 	Sched fleet.Scheduler
 	// Runner executes each admitted incident's responder session, in
 	// the submitting handler's goroutine.
@@ -200,9 +200,9 @@ type DrainSummary struct {
 	PeakQueueDepth       int     `json:"peak_queue_depth"`
 	DrainMinutes         float64 `json:"drain_minutes"`
 
-	// Sharded-scheduler extras: total cross-region steals and the
-	// per-region breakdown, in sorted region order. Absent (omitted)
-	// on a single-cell scheduler.
+	// Total cross-region steals (omitted when zero) and the per-region
+	// breakdown, in sorted region order; a single cell reports its one
+	// region. Both are omitted inside a RegionDrainSummary.
 	Stolen  int                  `json:"stolen,omitempty"`
 	Regions []RegionDrainSummary `json:"regions,omitempty"`
 }
@@ -216,8 +216,8 @@ type RegionDrainSummary struct {
 	StolenOut int `json:"stolen_out"`
 }
 
-// NewDrainSummary converts a fleet report to wire form.
-func NewDrainSummary(rep *fleet.Report) DrainSummary {
+// drainSummary converts a fleet report to wire form.
+func drainSummary(rep *fleet.Report) DrainSummary {
 	return DrainSummary{
 		Incidents:            len(rep.Outcomes),
 		Admitted:             rep.Admitted,
@@ -238,12 +238,12 @@ func NewDrainSummary(rep *fleet.Report) DrainSummary {
 // NewShardedDrainSummary converts a sharded fleet report to wire form:
 // the fleet-wide totals plus one RegionDrainSummary per region.
 func NewShardedDrainSummary(rep *fleet.ShardedReport) DrainSummary {
-	out := NewDrainSummary(rep.Total)
+	out := drainSummary(rep.Total)
 	out.Stolen = rep.Stolen
 	for _, rr := range rep.Regions {
 		out.Regions = append(out.Regions, RegionDrainSummary{
 			Region:       rr.Region,
-			DrainSummary: NewDrainSummary(rr.Report),
+			DrainSummary: drainSummary(rr.Report),
 			StolenIn:     rr.StolenIn,
 			StolenOut:    rr.StolenOut,
 		})
@@ -629,10 +629,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request, caller str
 			return
 		}
 	}
+	out := record.snapshot()
 	s.mu.Unlock()
 
 	s.stepWall()
-	writeJSON(w, http.StatusCreated, s.view(record))
+	writeJSON(w, http.StatusCreated, s.view(out))
 }
 
 func errorIs(err, target error) bool {
@@ -654,12 +655,16 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request, _ string) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	record := s.records[id]
+	var out Record
+	if record != nil {
+		out = record.snapshot()
+	}
 	s.mu.Unlock()
 	if record == nil {
 		writeErr(w, http.StatusNotFound, CodeNotFound, "", "no incident %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.view(record))
+	writeJSON(w, http.StatusOK, s.view(out))
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, caller string) {
@@ -719,16 +724,24 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request, caller str
 			return
 		}
 	}
-	out := s.view(record)
+	out := record.snapshot()
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, s.view(out))
 }
 
-// view renders a record with the scheduler's current fleet state
-// overlaid. Callers may hold s.mu (view only locks the scheduler).
-func (s *Server) view(record *Record) Record {
-	out := *record
-	st, ok := s.cfg.Sched.Lookup(record.ID)
+// snapshot copies a record, Notes included, for rendering after s.mu
+// is released. Call it with s.mu held: handleUpdate mutates Status,
+// Severity and Notes in place under that lock.
+func (r *Record) snapshot() Record {
+	out := *r
+	out.Notes = slices.Clone(r.Notes)
+	return out
+}
+
+// view overlays the scheduler's current fleet state on a record
+// snapshot. It locks only the scheduler, never s.mu.
+func (s *Server) view(out Record) Record {
+	st, ok := s.cfg.Sched.Lookup(out.ID)
 	if !ok {
 		out.FleetState = string(fleet.StatePending)
 		return out
@@ -866,14 +879,7 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, _ string)
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request, _ string) {
-	// A sharded scheduler drains with the per-region breakdown; the
-	// single-cell path keeps its flat summary.
-	var sum DrainSummary
-	if sh, ok := s.cfg.Sched.(interface{ DrainSharded() *fleet.ShardedReport }); ok {
-		sum = NewShardedDrainSummary(sh.DrainSharded())
-	} else {
-		sum = NewDrainSummary(s.cfg.Sched.Drain())
-	}
+	sum := NewShardedDrainSummary(s.cfg.Sched.DrainSharded())
 	if ac, ok := s.cfg.Clock.(AdvanceClock); ok {
 		ac.AdvanceTo(s.cfg.Sched.Watermark())
 	}

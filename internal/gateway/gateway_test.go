@@ -348,7 +348,7 @@ func TestWallClockModeProgresses(t *testing.T) {
 	kbase := kb.Default()
 	kb.ApplyFastpathUpdate(kbase)
 	runner := &harness.HelperRunner{Label: "assisted-helper", KBase: kbase, Config: core.DefaultConfig()}
-	sched := fleet.NewLive(fleet.LiveConfig{OCEs: 1, RunnerName: runner.Name()})
+	sched := fleet.NewSharded(fleet.ShardedLiveConfig{OCEs: 1, RunnerName: runner.Name()})
 	// An aggressive scale (1 wall ms ≈ 1.4 simulated hours) so the
 	// incident resolves within a few real milliseconds.
 	gw := NewServer(Config{
@@ -384,7 +384,7 @@ func TestSimEndpointsGated(t *testing.T) {
 	kbase := kb.Default()
 	kb.ApplyFastpathUpdate(kbase)
 	runner := &harness.HelperRunner{Label: "assisted-helper", KBase: kbase, Config: core.DefaultConfig()}
-	sched := fleet.NewLive(fleet.LiveConfig{OCEs: 1, RunnerName: runner.Name()})
+	sched := fleet.NewSharded(fleet.ShardedLiveConfig{OCEs: 1, RunnerName: runner.Name()})
 	gw := NewServer(Config{
 		Keys:  map[string]string{"k": "tester"},
 		Clock: NewWallClock(0), Sched: sched, Runner: runner, Seed: 7,
@@ -443,5 +443,54 @@ func TestTranscriptConcurrencyIndependent(t *testing.T) {
 	}
 	if ev1 != ev8 {
 		t.Error("event log depends on client concurrency")
+	}
+}
+
+// TestReadsRaceFreeUnderNotePatches: GET and list render a record while
+// PATCHes append notes and flip status and severity on the same
+// incident. Reads must snapshot the record under the gateway lock, so
+// `go test -race` stays clean.
+func TestReadsRaceFreeUnderNotePatches(t *testing.T) {
+	t.Parallel()
+	st := newTestStack(t, 1, 0)
+	if status, resp := st.do(t, "POST", "/v1/incidents", "k-tenant-a",
+		`{"id":"inc-race","scenario":"gray-link"}`); status != http.StatusCreated {
+		t.Fatalf("create: HTTP %d: %s", status, resp)
+	}
+	const rounds = 40
+	var wg sync.WaitGroup
+	run := func(f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				f(i)
+			}
+		}()
+	}
+	run(func(i int) {
+		body := fmt.Sprintf(`{"status":"investigating","severity":"sev%d","note":"n%d"}`, i%4, i)
+		if status, resp := st.do(t, "PATCH", "/v1/incidents/inc-race", "k-tenant-b", body); status != http.StatusOK {
+			t.Errorf("patch: HTTP %d: %s", status, resp)
+		}
+	})
+	run(func(int) {
+		if status, resp := st.do(t, "GET", "/v1/incidents/inc-race", "k-tenant-a", ""); status != http.StatusOK {
+			t.Errorf("get: HTTP %d: %s", status, resp)
+		}
+	})
+	run(func(int) {
+		if status, resp := st.do(t, "GET", "/v1/incidents", "k-tenant-a", ""); status != http.StatusOK {
+			t.Errorf("list: HTTP %d: %s", status, resp)
+		}
+	})
+	wg.Wait()
+	_, resp := st.do(t, "GET", "/v1/incidents/inc-race", "k-tenant-a", "")
+	var rec Record
+	if err := json.Unmarshal([]byte(resp), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Notes) != rounds {
+		t.Fatalf("notes = %d, want %d", len(rec.Notes), rounds)
 	}
 }

@@ -33,7 +33,7 @@ func newLakeStack(t *testing.T) (*testStack, *lake.Lake, string) {
 	kb.ApplyFastpathUpdate(kbase)
 	runner := &harness.HelperRunner{Label: "assisted-helper", KBase: kbase, Config: core.DefaultConfig()}
 	sink := obs.NewSink()
-	sched := fleet.NewLive(fleet.LiveConfig{
+	sched := fleet.NewSharded(fleet.ShardedLiveConfig{
 		OCEs: 2, QueueLimit: 8, Obs: sink, RunnerName: runner.Name(),
 	})
 	clock := NewSimClock()

@@ -140,7 +140,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request, _ string) {
 		sevFilter = &sev
 	}
 
-	// Snapshot the matching records under the lock, then sort and cut
+	// Collect the matching records under the lock, then sort and cut
 	// the page. Reservations (nil placeholders for in-flight creates)
 	// are invisible to the list — they have no acknowledged state yet.
 	s.mu.Lock()
@@ -173,13 +173,23 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request, _ string) {
 		matches = matches[cut:]
 	}
 
-	page := ListPage{Incidents: make([]Record, 0, min(limit, len(matches)))}
-	for _, rec := range matches {
-		if len(page.Incidents) == limit {
-			page.NextCursor = encodeCursor(&page.Incidents[len(page.Incidents)-1])
-			break
-		}
-		page.Incidents = append(page.Incidents, s.view(rec))
+	more := len(matches) > limit
+	matches = matches[:min(limit, len(matches))]
+
+	// Copy only the page's records, under the lock: PATCH mutates them
+	// in place. The sort above reads ID and OpenedAtMinutes, which
+	// never change after create, so it runs unlocked.
+	page := ListPage{Incidents: make([]Record, len(matches))}
+	s.mu.Lock()
+	for i, rec := range matches {
+		page.Incidents[i] = rec.snapshot()
+	}
+	s.mu.Unlock()
+	for i := range page.Incidents {
+		page.Incidents[i] = s.view(page.Incidents[i])
+	}
+	if more {
+		page.NextCursor = encodeCursor(&page.Incidents[len(page.Incidents)-1])
 	}
 	writeJSON(w, http.StatusOK, page)
 }

@@ -109,14 +109,9 @@ func NewAIOpsRegistry() *Registry {
 	return r
 }
 
-// fleetLabels builds the label set for fleet-level metrics: always the
-// runner, plus the region when the event came from the sharded
-// multi-region scheduler. Flat-path events carry no region and keep
-// their legacy single-label series byte-identical.
+// fleetLabels builds the label set for fleet-level metrics: the runner
+// and the home region every fleet event carries.
 func fleetLabels(e Event) Labels {
-	if e.Region == "" {
-		return Labels{"runner": e.Runner}
-	}
 	return Labels{"runner": e.Runner, "region": e.Region}
 }
 

@@ -80,9 +80,8 @@ type Event struct {
 	// Runner and Scenario identify the session's arm and incident class.
 	Runner   string `json:"runner,omitempty"`
 	Scenario string `json:"scenario,omitempty"`
-	// Region is the fleet region the incident is homed in (fleet events
-	// from the sharded multi-region scheduler; empty on the flat paths,
-	// which keeps their logs byte-identical).
+	// Region is the fleet region the incident is homed in (set on every
+	// fleet event; empty on session events).
 	Region string `json:"region,omitempty"`
 	// Seed is the trial seed (session-start events).
 	Seed int64 `json:"seed,omitempty"`
