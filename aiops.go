@@ -23,7 +23,6 @@ package aiops
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/embed"
@@ -37,6 +36,7 @@ import (
 	"repro/internal/mitigation"
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/randsrc"
 	"repro/internal/replayer"
 	"repro/internal/scenarios"
 )
@@ -232,7 +232,7 @@ func (s *System) Spawn(name string, seed int64) (*Instance, error) {
 	if sc == nil {
 		return nil, fmt.Errorf("aiops: unknown scenario %q (have %v)", name, s.ScenarioNames())
 	}
-	return sc.Build(newRand(seed)), nil
+	return sc.Build(randsrc.New(seed)), nil
 }
 
 // GenerateHistory populates the incident history with n historical
@@ -372,8 +372,6 @@ func (s *System) runSession(in *Instance, seed int64) (Result, *core.Outcome) {
 	}
 	return harness.RunSession(model, s.kbase, s.cfg, s.expertise, s.history, in, seed, o)
 }
-
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
 // FleetReport re-exports the fleet-level operations report.
 type FleetReport = fleet.Report

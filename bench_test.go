@@ -27,6 +27,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/mitigation"
 	"repro/internal/netsim"
+	"repro/internal/randsrc"
 	"repro/internal/replayer"
 	"repro/internal/risk"
 	"repro/internal/scenarios"
@@ -171,6 +172,27 @@ func BenchmarkScenarioBuildCascade(b *testing.B) {
 			b.Fatal("no incident")
 		}
 	}
+}
+
+// sinkSeedRand keeps BenchmarkSeedRand's draws observable.
+var sinkSeedRand int
+
+// BenchmarkSeedRand is the per-session seeding cost: seed a source and
+// draw once, as a scenario Build does. "lazy" is the source program code
+// uses; "mathrand" is the eager math/rand source it reproduces.
+func BenchmarkSeedRand(b *testing.B) {
+	b.Run("lazy", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkSeedRand += randsrc.New(int64(i)).Intn(100)
+		}
+	})
+	b.Run("mathrand", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkSeedRand += rand.New(rand.NewSource(int64(i))).Intn(100)
+		}
+	})
 }
 
 func BenchmarkEmbedDomain(b *testing.B) {

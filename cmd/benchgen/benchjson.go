@@ -35,6 +35,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/mitigation"
 	"repro/internal/netsim"
+	"repro/internal/randsrc"
 	"repro/internal/replayer"
 	"repro/internal/risk"
 	"repro/internal/scenarios"
@@ -147,7 +148,7 @@ func runBenchJSON(c *cliflags.Common, path string) error {
 	}
 
 	// Substrate micro-kernels, mirroring bench_test.go.
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(1)))
+	w := scenarios.StandardWorld(randsrc.New(1))
 	add("RouteTraffic", 50, func(int) string {
 		w.Invalidate()
 		w.Recompute()
@@ -165,6 +166,11 @@ func runBenchJSON(c *cliflags.Common, path string) error {
 			panic("bench-json: nil clone")
 		}
 		return "COW what-if snapshot of the recomputed standard world"
+	})
+	seedSink := 0
+	add("SeedRand", 2000, func(i int) string {
+		seedSink += randsrc.New(int64(i)).Intn(100)
+		return "seed a per-session rand source and draw one Intn"
 	})
 	add("EmbedDomain", 500, func(int) string {
 		e := embed.NewDomainEmbedder(128)
@@ -192,7 +198,7 @@ func runBenchJSON(c *cliflags.Common, path string) error {
 		}
 		return "one simulated-LLM hypothesis completion"
 	})
-	riskIn := (&scenarios.Cascade{Stage: 5}).Build(rand.New(rand.NewSource(3)))
+	riskIn := (&scenarios.Cascade{Stage: 5}).Build(randsrc.New(3))
 	assessor := &risk.Assessor{}
 	plan := mitigation.Plan{Actions: []mitigation.Action{
 		{Kind: mitigation.OverrideWAN, Target: "B4", Param: "healthy"},
@@ -207,14 +213,14 @@ func runBenchJSON(c *cliflags.Common, path string) error {
 	kb.ApplyFastpathUpdate(kbase)
 	helper := &harness.HelperRunner{KBase: kbase, Config: core.DefaultConfig()}
 	add("HelperSessionCascade", 5, func(i int) string {
-		in := (&scenarios.Cascade{Stage: 5}).Build(rand.New(rand.NewSource(int64(i))))
+		in := (&scenarios.Cascade{Stage: 5}).Build(randsrc.New(int64(i)))
 		if res := helper.Run(in, int64(i)); !res.Mitigated {
 			panic("bench-json: cascade not mitigated")
 		}
 		return "one full helper session on cascade-5"
 	})
 	add("HelperSessionGrayLink", 10, func(i int) string {
-		in := (&scenarios.GrayLink{}).Build(rand.New(rand.NewSource(int64(i))))
+		in := (&scenarios.GrayLink{}).Build(randsrc.New(int64(i)))
 		if res := helper.Run(in, int64(i)); !res.Mitigated {
 			panic("bench-json: gray-link not mitigated")
 		}
@@ -222,13 +228,13 @@ func runBenchJSON(c *cliflags.Common, path string) error {
 	})
 	oneShot := &harness.OneShotRunner{History: corpus.History, KBase: kbase}
 	add("OneShotSession", 10, func(i int) string {
-		in := (&scenarios.GrayLink{}).Build(rand.New(rand.NewSource(int64(i))))
+		in := (&scenarios.GrayLink{}).Build(randsrc.New(int64(i)))
 		oneShot.Run(in, int64(i))
 		return "one one-shot recommendation session on gray-link"
 	})
 	control := &harness.ControlRunner{KBase: kbase}
 	add("UnassistedSession", 10, func(i int) string {
-		in := (&scenarios.GrayLink{}).Build(rand.New(rand.NewSource(int64(i))))
+		in := (&scenarios.GrayLink{}).Build(randsrc.New(int64(i)))
 		control.Run(in, int64(i))
 		return "one unassisted control session on gray-link"
 	})
@@ -274,7 +280,7 @@ func runBenchJSON(c *cliflags.Common, path string) error {
 		return err
 	}
 	defer dl.Close()
-	lakeIn := (&scenarios.GrayLink{}).Build(rand.New(rand.NewSource(11)))
+	lakeIn := (&scenarios.GrayLink{}).Build(randsrc.New(11))
 	lakeRes := harness.Result{Scenario: lakeIn.Scenario.Name(), Mitigated: true, Correct: true, TTM: 38 * time.Minute}
 	add("LakeIngest", 200, func(i int) string {
 		e := lake.NewEntry(fmt.Sprintf("bench-%04d", i), "assisted-helper", lakeIn, lakeRes, int64(i), nil)

@@ -13,11 +13,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"repro/internal/netsim"
 	"repro/internal/query"
+	"repro/internal/randsrc"
 	"repro/internal/scenarios"
 	"repro/internal/telemetry"
 )
@@ -33,14 +33,14 @@ func main() {
 
 	var w *netsim.World
 	if *scenario == "" {
-		w = scenarios.StandardWorld(rand.New(rand.NewSource(*seed)))
+		w = scenarios.StandardWorld(randsrc.New(*seed))
 	} else {
 		sc := scenarios.ByName(*scenario)
 		if sc == nil {
 			fmt.Fprintf(os.Stderr, "unknown scenario %q\n", *scenario)
 			os.Exit(1)
 		}
-		in := sc.Build(rand.New(rand.NewSource(*seed)))
+		in := sc.Build(randsrc.New(*seed))
 		w = in.World
 		fmt.Println("incident:", in.Incident.Title)
 	}

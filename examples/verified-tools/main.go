@@ -11,17 +11,17 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"repro/internal/kb"
 	"repro/internal/llm"
+	"repro/internal/randsrc"
 	"repro/internal/scenarios"
 	"repro/internal/tools"
 )
 
 func main() {
 	// A live incident to interrogate: the Tokyo-style protocol bug.
-	in := (&scenarios.NovelProtocol{}).Build(rand.New(rand.NewSource(1)))
+	in := (&scenarios.NovelProtocol{}).Build(randsrc.New(1))
 	fmt.Println("incident:", in.Incident.Title)
 
 	questions := []string{

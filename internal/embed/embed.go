@@ -21,9 +21,10 @@ package embed
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
+
+	"repro/internal/randsrc"
 )
 
 // Embedder maps text to a fixed-dimension unit vector.
@@ -299,7 +300,7 @@ const LSHPlanes = 14
 
 // buildLSH constructs the hyperplane index deterministically.
 func (s *Store) buildLSH() {
-	rng := rand.New(rand.NewSource(42))
+	rng := randsrc.New(42)
 	s.planes = make([][]float32, LSHPlanes)
 	for p := range s.planes {
 		pl := make([]float32, s.emb.Dim())

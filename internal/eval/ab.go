@@ -9,6 +9,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/randsrc"
 	"repro/internal/scenarios"
 )
 
@@ -124,7 +125,7 @@ func ABTest(cfg ABConfig, treatment, control harness.Runner) *ABResult {
 	// sequence defines the trial), then the drawn trials execute on the
 	// parallel pool and aggregate back in draw order — so the result is
 	// bit-identical for every worker count.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := randsrc.New(cfg.Seed)
 	res := &ABResult{
 		Treatment: ArmStats{Name: treatment.Name()},
 		Control:   ArmStats{Name: control.Name()},
@@ -179,7 +180,7 @@ func ABTest(cfg ABConfig, treatment, control harness.Runner) *ABResult {
 
 	// Bootstrap CI on the difference of means.
 	diffs := make([]float64, 0, 2000)
-	bootRng := rand.New(rand.NewSource(cfg.Seed ^ 0xb007))
+	bootRng := randsrc.New(cfg.Seed ^ 0xb007)
 	for i := 0; i < 2000; i++ {
 		diffs = append(diffs, resample(res.Treatment.TTMMinutes, bootRng)-resample(res.Control.TTMMinutes, bootRng))
 	}
@@ -216,7 +217,7 @@ func RunMatrixObserved(n, workers int, mix []scenarios.Scenario, seed int64, sin
 	if len(mix) == 0 {
 		mix = scenarios.All()
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := randsrc.New(seed)
 	out := make(map[string]*ArmStats, len(runners))
 	for _, r := range runners {
 		out[r.Name()] = &ArmStats{Name: r.Name()}

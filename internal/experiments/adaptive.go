@@ -25,7 +25,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/eval"
@@ -35,6 +34,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/randsrc"
 	"repro/internal/scenarios"
 )
 
@@ -108,7 +108,7 @@ func e18Run(p Params) []e18DayStat {
 			// incident instance and the same model randomness on every
 			// rung, so only the corpus moves.
 			trials := parallel.RunTrials(p.Trials, p.Workers, p.Seed+181, func(s int64, i int) trialOut {
-				in := sc.Build(rand.New(rand.NewSource(s)))
+				in := sc.Build(randsrc.New(s))
 				model := llm.NewSimLLM(kbase, s)
 				model.Recall = e18Recall
 				model.HallucinationRate = e18Hallucination

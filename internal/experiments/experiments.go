@@ -22,6 +22,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/randsrc"
 	"repro/internal/replayer"
 	"repro/internal/scenarios"
 )
@@ -159,7 +160,7 @@ func E1FrameworkTrace(p Params) (string, []*eval.Table) {
 	p = p.withDefaults()
 	kbase := currentKB()
 	sc := &scenarios.Cascade{Stage: 5}
-	in := sc.Build(rand.New(rand.NewSource(p.Seed)))
+	in := sc.Build(randsrc.New(p.Seed))
 	model := llm.NewSimLLM(kbase, p.Seed)
 	res, out := harness.RunSession(model, kbase, core.DefaultConfig(), 0.9, kb.NewHistory(), in, p.Seed, p.Obs.Observer())
 	trace := core.NewSessionTrace(out).String()
@@ -202,7 +203,7 @@ func E2IterativeVsOneShot(p Params) []*eval.Table {
 	}
 	var rows []row
 	for _, sc := range scenarios.All() {
-		depth := sc.Build(rand.New(rand.NewSource(1))).Incident.Truth.ChainDepth()
+		depth := sc.Build(randsrc.New(1)).Incident.Truth.ChainDepth()
 		rows = append(rows, row{
 			name:  sc.Name(),
 			depth: depth,
@@ -339,7 +340,7 @@ func E6Costs(p Params) []*eval.Table {
 	for _, sc := range scenarios.All() {
 		ch := runCell(sc, helper, p.sub(61))
 		cc := runCell(sc, control, p.sub(61))
-		sev := sc.Build(rand.New(rand.NewSource(1))).Incident.Severity
+		sev := sc.Build(randsrc.New(1)).Incident.Severity
 		saved := cc.meanTTM() - ch.meanTTM()
 		slaSaved := saved * slaCostPerMinute[sev]
 		llmCost := ch.meanTokens() / 1000 * pricing.PromptPer1K
@@ -471,10 +472,10 @@ func E8Embeddings(p Params) []*eval.Table {
 		}
 		fullHits, proseHits, noisyHits, total := 0, 0, 0, 0
 		var marginSum float64
-		rng := rand.New(rand.NewSource(p.Seed + 81))
+		rng := randsrc.New(p.Seed + 81)
 		for _, sc := range scenarios.Routine() {
 			for i := 0; i < p.Trials; i++ {
-				in := sc.Build(rand.New(rand.NewSource(rng.Int63())))
+				in := sc.Build(randsrc.New(rng.Int63()))
 				in.Incident.Title = paraphraser.Replace(in.Incident.Title)
 				in.Incident.Summary = paraphraser.Replace(in.Incident.Summary)
 				total++

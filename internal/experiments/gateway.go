@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"time"
@@ -35,6 +34,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/harness"
 	"repro/internal/parallel"
+	"repro/internal/randsrc"
 	"repro/internal/scenarios"
 )
 
@@ -58,7 +58,7 @@ type e15Arrival struct {
 // tape (not submission order) is what determines the schedule: every
 // arrival carries its simulated timestamp and ID in the payload.
 func e15Tape(rate float64, n int, seed int64) []e15Arrival {
-	rng := rand.New(rand.NewSource(seed))
+	rng := randsrc.New(seed)
 	mix := scenarios.All()
 	tape := make([]e15Arrival, n)
 	var now time.Duration

@@ -28,6 +28,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/incident"
+	"repro/internal/randsrc"
 	"repro/internal/scenarios"
 )
 
@@ -88,7 +89,7 @@ type e17Runner struct {
 
 func (r e17Runner) Name() string { return r.label }
 func (r e17Runner) Run(in *scenarios.Instance, seed int64) harness.Result {
-	rng := rand.New(rand.NewSource(seed))
+	rng := randsrc.New(seed)
 	ttm := r.base + time.Duration(rng.ExpFloat64()*float64(r.spread))
 	mit := rng.Float64() < r.mitigate
 	return harness.Result{Scenario: in.Scenario.Name(), Mitigated: mit, Escalated: !mit, TTM: ttm}

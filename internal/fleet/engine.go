@@ -33,7 +33,6 @@ type engine struct {
 	queued    []int // outcome indices, arrival order
 
 	outcomes []Outcome
-	sessions []session
 
 	busySum  time.Duration
 	makespan time.Duration
@@ -54,11 +53,10 @@ func newEngine(oces int, policy Policy, queueLimit int, agingStep time.Duration)
 	}
 }
 
-// add appends one arrival's outcome shell and session, returning its
-// outcome index.
-func (e *engine) add(o Outcome, s session) int {
+// add appends one arrival's outcome shell, carrying its session
+// Result, and returns its outcome index.
+func (e *engine) add(o Outcome) int {
 	e.outcomes = append(e.outcomes, o)
-	e.sessions = append(e.sessions, s)
 	return len(e.outcomes) - 1
 }
 
@@ -67,8 +65,8 @@ func (e *engine) dispatch(r, idx int, at time.Duration) {
 	o := &e.outcomes[idx]
 	o.StartedAt = at
 	o.Queue = at - o.ArrivedAt
-	o.Handling = e.sessions[idx].res.TTM
-	o.Resolution = o.Queue + e.sessions[idx].res.PenalizedTTM()
+	o.Handling = o.Result.TTM
+	o.Resolution = o.Queue + o.Result.PenalizedTTM()
 	o.Responder = r
 	e.busy[r] = true
 	e.busyUntil[r] = at + o.Handling

@@ -36,7 +36,9 @@
 //     events in a private recorder. (Sessions for arrivals the
 //     admission controller later sheds are discarded — speculation
 //     wastes a little compute to keep the phase embarrassingly
-//     parallel.)
+//     parallel.) Each session's world build seeds a lazy
+//     internal/randsrc source: the same stream as math/rand's, without
+//     the register fill that would otherwise dominate a flat session.
 //  3. The pre-drawn tape is offered to a ShardedScheduler and drained:
 //     admission, queueing, aging, dispatch and drain are pure
 //     functions of the pre-drawn arrivals and the session TTMs, so the
@@ -46,13 +48,13 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"repro/internal/eval"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/randsrc"
 	"repro/internal/scenarios"
 )
 
@@ -106,7 +108,7 @@ type Config struct {
 	Obs *obs.Sink
 }
 
-// Outcome is one arrival's fleet-level record, in arrival order.
+// Outcome is one arrival's fleet-level record.
 type Outcome struct {
 	// Index is the arrival index; seeds and scenarios derive from it.
 	Index int
@@ -140,6 +142,8 @@ type Outcome struct {
 
 // Report aggregates a fleet simulation.
 type Report struct {
+	// Outcomes holds one record per arrival: in (ArrivedAt, ID) order
+	// fleet-wide, in placement order per region (see RegionReport).
 	Outcomes []Outcome
 
 	// Admitted and Shed partition the arrivals.
@@ -165,7 +169,7 @@ type Report struct {
 	ShedRate float64
 	// PeakQueueDepth is the deepest the waiting queue ever got.
 	PeakQueueDepth int
-	// Drain is the simulated time between the last arrival and the
+	// Drain is the simulated time between the latest arrival and the
 	// pool going idle — the graceful-drain window on shutdown.
 	Drain time.Duration
 }
@@ -206,7 +210,7 @@ func Simulate(cfg Config) *Report {
 	// Phase 1 — serial arrival pre-draw: gap, scenario, session seed per
 	// arrival and no region draw. E10, E14 and the imctl fleet golden
 	// pin this order.
-	rng := rand.New(rand.NewSource(sc.Seed))
+	rng := randsrc.New(sc.Seed)
 	draws := make([]arrival, sc.Incidents)
 	var now time.Duration
 	for i := range draws {
@@ -235,7 +239,7 @@ func simulate(cfg ShardedConfig, draws []arrival) *ShardedReport {
 	}
 	trials := parallel.RunTrials(n, cfg.Workers, cfg.Seed, func(_ int64, i int) session {
 		d := draws[i]
-		in := d.scenario.Build(rand.New(rand.NewSource(d.seed)))
+		in := d.scenario.Build(randsrc.New(d.seed))
 		sev := in.Incident.Severity
 		var res harness.Result
 		if recs != nil {
@@ -295,9 +299,10 @@ func aggregate(rep *Report, oces int, sink *obs.Sink, busySum, makespan time.Dur
 	}
 	queues := make([]float64, 0, n)
 	resolutions := make([]float64, n)
-	var qSum, rSum time.Duration
+	var qSum, rSum, last time.Duration
 	for i := range rep.Outcomes {
 		o := &rep.Outcomes[i]
+		last = max(last, o.ArrivedAt)
 		if !o.Shed {
 			queues = append(queues, o.Queue.Minutes())
 			qSum += o.Queue
@@ -318,7 +323,7 @@ func aggregate(rep *Report, oces int, sink *obs.Sink, busySum, makespan time.Dur
 	}
 	rep.MitigatedRate = float64(mitigated) / float64(n)
 	rep.ShedRate = float64(rep.Shed) / float64(n)
-	if last := rep.Outcomes[n-1].ArrivedAt; makespan > last {
+	if makespan > last {
 		rep.Drain = makespan - last
 	}
 

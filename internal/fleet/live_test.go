@@ -142,7 +142,7 @@ func TestLiveMatchesEngineSemantics(t *testing.T) {
 		eng.add(Outcome{
 			Index: i, Scenario: a.Scenario, Severity: a.Severity,
 			Region: DefaultRegion, ArrivedAt: a.At, Result: a.Result,
-		}, session{res: a.Result, severity: a.Severity})
+		})
 		eng.arrive(i)
 	}
 	eng.completeUntil(never)

@@ -350,7 +350,7 @@ func (s *ShardedScheduler) placeLocked(sh *regionShard, a LiveArrival) int {
 	idx := sh.eng.add(Outcome{
 		Index: len(sh.eng.outcomes), Scenario: a.Scenario, Severity: a.Severity,
 		Region: a.Region, ArrivedAt: a.At, Result: a.Result,
-	}, session{res: a.Result, severity: a.Severity})
+	})
 	sh.ids = append(sh.ids, a.ID)
 	sh.recs = append(sh.recs, a.Events)
 	s.index[a.ID] = shardRef{region: sh.name, idx: idx}
@@ -527,7 +527,11 @@ func (s *ShardedScheduler) DrainSharded() *ShardedReport {
 // Reports.
 // ---------------------------------------------------------------------------
 
-// RegionReport is one region's aggregate plus its steal balance.
+// RegionReport is one region's aggregate plus its steal balance. Its
+// Outcomes are in placement order: arrival order, except that a steal
+// pass places each tick's overflow (stolen in, dispatched late at home,
+// or shed) after the tick's admissions, so the last outcome need not be
+// the latest arrival.
 type RegionReport struct {
 	Region string
 	*Report

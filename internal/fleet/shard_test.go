@@ -217,7 +217,7 @@ func TestShardedSingleRegionMatchesLive(t *testing.T) {
 		eng.add(Outcome{
 			Index: i, Scenario: a.Scenario, Severity: a.Severity,
 			Region: DefaultRegion, ArrivedAt: a.At, Result: a.Result,
-		}, session{res: a.Result, severity: a.Severity})
+		})
 		eng.arrive(i)
 	}
 	eng.completeUntil(never)
@@ -242,5 +242,38 @@ func TestShardedSingleRegionMatchesLive(t *testing.T) {
 	b := SummaryTable("x", []Arm{{Name: "arm", Report: sr}}).String()
 	if a != b {
 		t.Fatalf("aggregate tables differ:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestRegionDrainUsesLatestArrival: a region's outcomes are in placement
+// order, and a steal pass places a tick's overflow after the tick's
+// admissions, so the last outcome need not be the latest arrival. Drain
+// must run from the latest arrival to the pool going idle.
+func TestRegionDrainUsesLatestArrival(t *testing.T) {
+	t.Parallel()
+	rep := SimulateSharded(ShardedConfig{
+		Regions: regionNames(16), OCEs: 2, ArrivalsPerHour: 8, Incidents: 5000,
+		QueueLimit: 3, Seed: 1, Workers: 2, Steal: true,
+		Mix: []scenarios.Scenario{shardScenario{}}, Runner: shardRunner{},
+	})
+	staleTail := 0
+	for _, rr := range rep.Regions {
+		var last, makespan time.Duration
+		for _, o := range rr.Outcomes {
+			last = max(last, o.ArrivedAt)
+			if !o.Shed {
+				makespan = max(makespan, o.StartedAt+o.Handling)
+			}
+		}
+		if rr.Outcomes[len(rr.Outcomes)-1].ArrivedAt < last {
+			staleTail++
+		}
+		if want := max(makespan-last, 0); rr.Drain != want {
+			t.Errorf("region %s: Drain %s, want makespan %s - latest arrival %s = %s",
+				rr.Region, rr.Drain, makespan, last, want)
+		}
+	}
+	if staleTail == 0 {
+		t.Fatal("every region's last outcome is its latest arrival; the steal path went unexercised")
 	}
 }

@@ -11,13 +11,13 @@ package fleet
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
 	"repro/internal/eval"
 	"repro/internal/harness"
 	"repro/internal/obs"
+	"repro/internal/randsrc"
 	"repro/internal/scenarios"
 )
 
@@ -91,7 +91,7 @@ func SimulateSharded(cfg ShardedConfig) *ShardedReport {
 	// seed per echo), so the arrival set is a pure function of the seed.
 	// The region draw consumes a value even at R = 1, so one-region runs
 	// differ from Simulate's draw.
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := randsrc.New(cfg.Seed)
 	draws := make([]arrival, 0, n)
 	var now time.Duration
 	for len(draws) < n {

@@ -66,7 +66,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"slices"
 	"sort"
@@ -79,6 +78,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/lake"
 	"repro/internal/obs"
+	"repro/internal/randsrc"
 	"repro/internal/scenarios"
 )
 
@@ -529,7 +529,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request, caller str
 	// derived seed — world, alerts, ground truth — then overlay the
 	// caller's reported fields.
 	seed := DeriveSeed(s.cfg.Seed, id)
-	in := scenarios.ByName(req.Scenario).Build(rand.New(rand.NewSource(seed)))
+	in := scenarios.ByName(req.Scenario).Build(randsrc.New(seed))
 	if req.Severity != nil {
 		in.Incident.Severity = int(*req.Severity)
 	}

@@ -22,13 +22,13 @@ package gateway
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/randsrc"
 	"repro/internal/scenarios"
 )
 
@@ -134,7 +134,7 @@ func (s *Server) Recover(rr journal.ReplayResult) (RecoverStats, error) {
 			continue
 		}
 		seed := DeriveSeed(s.cfg.Seed, id)
-		in := scenarios.ByName(g.scenario).Build(rand.New(rand.NewSource(seed)))
+		in := scenarios.ByName(g.scenario).Build(randsrc.New(seed))
 		in.Incident.Severity = g.severity
 		in.Incident.ID = id
 		var rec *obs.Recorder

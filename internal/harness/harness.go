@@ -5,7 +5,6 @@
 package harness
 
 import (
-	"math/rand"
 	"time"
 
 	"repro/internal/baseline"
@@ -17,6 +16,7 @@ import (
 	"repro/internal/mitigation"
 	"repro/internal/obs"
 	"repro/internal/oce"
+	"repro/internal/randsrc"
 	"repro/internal/risk"
 	"repro/internal/scenarios"
 	"repro/internal/tools"
@@ -160,7 +160,7 @@ func (h *HelperRunner) RunObserved(in *scenarios.Instance, seed int64, o obs.Obs
 	if oceKB == nil {
 		oceKB = h.KBase
 	}
-	watcher := core.NewOCE(exp, oceKB, rand.New(rand.NewSource(seed^0x5eed)))
+	watcher := core.NewOCE(exp, oceKB, randsrc.New(seed^0x5eed))
 	emitStart(o, in, seed)
 	out := helper.Run(in.World, in.Incident, watcher)
 
@@ -292,7 +292,7 @@ func (c *ControlRunner) RunObserved(in *scenarios.Instance, seed int64, o obs.Ob
 	if exp == 0 {
 		exp = 0.8
 	}
-	eng := &oce.Engineer{Expertise: exp, KBase: c.KBase, Rng: rand.New(rand.NewSource(seed ^ 0xabcdef))}
+	eng := &oce.Engineer{Expertise: exp, KBase: c.KBase, Rng: randsrc.New(seed ^ 0xabcdef)}
 	reg, store := newRegistry(in, c.History, embed.NewDomainEmbedder(128))
 	reg, _ = injectFaults(reg, c.Faults, seed)
 	reg = observeRegistry(reg, o)
@@ -326,7 +326,7 @@ func RunSession(model llm.Model, kbase *kb.KB, cfg core.Config, expertise float6
 	if expertise == 0 {
 		expertise = 0.9
 	}
-	watcher := core.NewOCE(expertise, kbase, rand.New(rand.NewSource(seed^0x5eed)))
+	watcher := core.NewOCE(expertise, kbase, randsrc.New(seed^0x5eed))
 	emitStart(o, in, seed)
 	out := helper.Run(in.World, in.Incident, watcher)
 	res := helperResult(in, out)

@@ -2,12 +2,12 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/embed"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/parallel"
+	"repro/internal/randsrc"
 	"repro/internal/scenarios"
 	"repro/internal/tools"
 )
@@ -133,7 +133,7 @@ func observeRegistry(reg *tools.Registry, o obs.Observer) *tools.Registry {
 // implement ObservedRunner stream events into o; plain runners fall back
 // to the unobserved path.
 func BuildAndRunObserved(r Runner, sc scenarios.Scenario, seed int64, o obs.Observer) Result {
-	in := sc.Build(rand.New(rand.NewSource(seed)))
+	in := sc.Build(randsrc.New(seed))
 	if or, ok := r.(ObservedRunner); ok && o != nil {
 		return or.RunObserved(in, seed, o)
 	}

@@ -1,9 +1,8 @@
 package harness
 
 import (
-	"math/rand"
-
 	"repro/internal/parallel"
+	"repro/internal/randsrc"
 	"repro/internal/scenarios"
 )
 
@@ -13,7 +12,7 @@ import (
 // toolbox; concurrent calls share only immutable inputs (the runner's
 // knowledge base and frozen history).
 func BuildAndRun(r Runner, sc scenarios.Scenario, seed int64) Result {
-	return r.Run(sc.Build(rand.New(rand.NewSource(seed))), seed)
+	return r.Run(sc.Build(randsrc.New(seed)), seed)
 }
 
 // RunPool executes n independent trials of sc through r on a bounded

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/kb"
 	"repro/internal/mitigation"
+	"repro/internal/randsrc"
 )
 
 // SimLLM simulates an instruction-following LLM for incident management.
@@ -61,7 +62,7 @@ func NewSimLLM(kbase *kb.KB, seed int64) *SimLLM {
 		Window:          8192,
 		Temperature:     0.05,
 		Recall:          1.0,
-		Rng:             rand.New(rand.NewSource(seed)),
+		Rng:             randsrc.New(seed),
 		LatencyBase:     2 * time.Second,
 		LatencyPerToken: 20 * time.Millisecond,
 		Pricing:         DefaultPricing(),

@@ -12,7 +12,6 @@ package replayer
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/embed"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oce"
 	"repro/internal/parallel"
+	"repro/internal/randsrc"
 	"repro/internal/scenarios"
 	"repro/internal/tools"
 )
@@ -72,16 +72,16 @@ func Generate(opts Options) *Corpus {
 	if hi == 0 {
 		lo, hi = 0.6, 0.95
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
+	rng := randsrc.New(opts.Seed)
 	c := &Corpus{History: kb.NewHistory()}
 	for i := 0; i < opts.N; i++ {
 		sc := mix[rng.Intn(len(mix))]
 		seed := rng.Int63()
-		in := sc.Build(rand.New(rand.NewSource(seed)))
+		in := sc.Build(randsrc.New(seed))
 		eng := &oce.Engineer{
 			Expertise: lo + (hi-lo)*rng.Float64(),
 			KBase:     kbase,
-			Rng:       rand.New(rand.NewSource(seed ^ 0x0ce)),
+			Rng:       randsrc.New(seed ^ 0x0ce),
 		}
 		reg := tools.NewDefaultRegistry(embed.NewStore(embed.NewDomainEmbedder(64)), c.History, in.Incident.Title, in.Incident.Service)
 		out := eng.Solve(in.World, in.Incident, reg)
@@ -226,7 +226,7 @@ func ReplayObserved(c *Corpus, r harness.Runner, workers int, sink *obs.Sink) *R
 			recs[i] = rec
 			ob = rec
 		}
-		in := sc.Build(rand.New(rand.NewSource(item.Seed)))
+		in := sc.Build(randsrc.New(item.Seed))
 		var res harness.Result
 		if or, ok := r.(harness.ObservedRunner); ok && ob != nil {
 			res = or.RunObserved(in, item.Seed, ob)
