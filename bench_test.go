@@ -144,6 +144,7 @@ func BenchmarkRouteTraffic(b *testing.B) {
 
 func BenchmarkRouteDAG(b *testing.B) {
 	w := benchWorld()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d := netsim.RouteDAGFor(w.Net, "us-east-host-p0-t0-h0", "eu-north-host-p0-t0-h0", nil)

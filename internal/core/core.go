@@ -126,7 +126,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// StepKind classifies trace steps.
+// StepKind classifies the display events of a session trace: the audit
+// log the paper's reliability requirement demands ("provides a reason
+// for why it arrived at a particular response").
 type StepKind string
 
 // Trace step kinds.
@@ -149,16 +151,6 @@ const (
 	StepBreaker      StepKind = "breaker"
 	StepNote         StepKind = "note"
 )
-
-// TraceStep is one entry in the session trace: the audit log the paper's
-// reliability requirement demands ("provides a reason for why it arrived
-// at a particular response").
-type TraceStep struct {
-	At     time.Duration
-	Round  int
-	Kind   StepKind
-	Detail string
-}
 
 // Outcome is the result of one helper session.
 type Outcome struct {
@@ -199,14 +191,10 @@ type Outcome struct {
 	Confirmed []string
 	// Applied is the union of executed actions.
 	Applied mitigation.Plan
-	// Trace is the full audit log.
-	//
-	// Deprecated: Trace carries only the display lines. Events is the
-	// superset: every display line plus the structural observations
-	// (hypotheses, tool dispositions, LLM costs, mitigation actions).
-	Trace []TraceStep
 	// Events is the structured session event stream, in emission order,
-	// with simulated-clock timestamps. NewSessionTrace renders it.
+	// with simulated-clock timestamps: the display lines plus the
+	// structural observations (hypotheses, tool dispositions, LLM costs,
+	// mitigation actions). NewSessionTrace renders it.
 	Events []obs.Event
 	// LLMUsage aggregates model token usage for the session (§3 system
 	// cost).

@@ -148,14 +148,6 @@ func (p *PostmortemReport) String() string {
 	return b.String()
 }
 
-// Postmortem renders the review directly to markdown.
-//
-// Deprecated: use NewPostmortem and render (or inspect) the structured
-// report; this wrapper produces the same bytes.
-func Postmortem(inc *incident.Incident, out *Outcome) string {
-	return NewPostmortem(inc, out).String()
-}
-
 // followUps derives action items from what went wrong in the session.
 func followUps(out *Outcome) []string {
 	var fs []string

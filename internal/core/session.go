@@ -726,9 +726,6 @@ func (s *session) addEvidence(line string) {
 }
 
 func (s *session) trace(kind StepKind, detail string) {
-	s.out.Trace = append(s.out.Trace, TraceStep{
-		At: s.w.Clock.Now(), Round: s.round, Kind: kind, Detail: detail,
-	})
 	s.emit(obs.Event{Type: obs.Type(kind), Detail: detail})
 }
 
@@ -756,19 +753,6 @@ func (s *session) emitToolCall(name string, latency time.Duration, res tools.Res
 		disposition = "degraded"
 	}
 	s.emit(obs.Event{Type: obs.EvToolCall, Tool: name, Disposition: disposition, Latency: latency})
-}
-
-// FormatTrace renders a trace for CLI display.
-//
-// Deprecated: render Outcome.Events via NewSessionTrace instead; this
-// remains for the legacy []TraceStep audit log and produces the same
-// bytes.
-func FormatTrace(steps []TraceStep) string {
-	var b strings.Builder
-	for _, st := range steps {
-		fmt.Fprintf(&b, "[%7s r%02d] %-14s %s\n", formatDur(st.At), st.Round, st.Kind, st.Detail)
-	}
-	return b.String()
 }
 
 func formatDur(d time.Duration) string {

@@ -299,13 +299,13 @@ func TestActionFaultsForceEscalation(t *testing.T) {
 	h.ActionFaults = failingAutomation{}
 	out := h.Run(in.World, in.Incident, oce)
 	if out.Mitigated {
-		t.Fatalf("mitigated with all automation down; trace:\n%s", FormatTrace(out.Trace))
+		t.Fatalf("mitigated with all automation down; trace:\n%s", NewSessionTrace(out).String())
 	}
 	if !out.Escalated {
-		t.Fatalf("expected escalation; trace:\n%s", FormatTrace(out.Trace))
+		t.Fatalf("expected escalation; trace:\n%s", NewSessionTrace(out).String())
 	}
 	if out.PlanErrors == 0 {
-		t.Errorf("no plan errors recorded; trace:\n%s", FormatTrace(out.Trace))
+		t.Errorf("no plan errors recorded; trace:\n%s", NewSessionTrace(out).String())
 	}
 	if out.TTM <= 0 {
 		t.Error("TTM not accounted for the failed attempts")

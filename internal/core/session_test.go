@@ -46,11 +46,11 @@ func TestHelperSolvesEveryKnownScenario(t *testing.T) {
 			for seed := int64(0); seed < 4; seed++ {
 				in, out := runScenario(t, sc, kbase, seed, DefaultConfig())
 				if !out.Mitigated {
-					t.Fatalf("seed %d: not mitigated; escalated=%v trace:\n%s", seed, out.Escalated, FormatTrace(out.Trace))
+					t.Fatalf("seed %d: not mitigated; escalated=%v trace:\n%s", seed, out.Escalated, NewSessionTrace(out).String())
 				}
 				if !in.Succeeded(out.Applied) {
 					t.Fatalf("seed %d: mitigated but plan %v does not satisfy ground truth; trace:\n%s",
-						seed, out.Applied, FormatTrace(out.Trace))
+						seed, out.Applied, NewSessionTrace(out).String())
 				}
 				if out.TTM <= 0 {
 					t.Errorf("seed %d: TTM = %v", seed, out.TTM)
@@ -58,7 +58,7 @@ func TestHelperSolvesEveryKnownScenario(t *testing.T) {
 				if out.LLMUsage.Calls == 0 {
 					t.Error("no LLM usage metered")
 				}
-				if len(out.Trace) == 0 {
+				if len(NewSessionTrace(out).Display()) == 0 {
 					t.Error("empty trace")
 				}
 			}
@@ -73,7 +73,7 @@ func TestHelperFindsCascadeChain(t *testing.T) {
 	kbase := kb.Default()
 	in, out := runScenario(t, &scenarios.Cascade{Stage: 5}, kbase, 1, DefaultConfig())
 	if !out.Mitigated {
-		t.Fatalf("not mitigated:\n%s", FormatTrace(out.Trace))
+		t.Fatalf("not mitigated:\n%s", NewSessionTrace(out).String())
 	}
 	confirmed := map[string]bool{}
 	for _, c := range out.Confirmed {
@@ -98,10 +98,10 @@ func TestAdaptivityFig3(t *testing.T) {
 	t.Run("stale-fails", func(t *testing.T) {
 		in, out := runScenario(t, &scenarios.NovelProtocol{}, staleKB, 2, DefaultConfig())
 		if out.Mitigated && in.Succeeded(out.Applied) {
-			t.Fatalf("stale helper should not resolve the novel incident:\n%s", FormatTrace(out.Trace))
+			t.Fatalf("stale helper should not resolve the novel incident:\n%s", NewSessionTrace(out).String())
 		}
 		if !out.Escalated {
-			t.Errorf("stale helper should escalate; trace:\n%s", FormatTrace(out.Trace))
+			t.Errorf("stale helper should escalate; trace:\n%s", NewSessionTrace(out).String())
 		}
 	})
 
@@ -110,7 +110,7 @@ func TestAdaptivityFig3(t *testing.T) {
 		kb.ApplyFastpathUpdate(fresh)
 		in, out := runScenario(t, &scenarios.NovelProtocol{}, fresh, 2, DefaultConfig())
 		if !out.Mitigated || !in.Succeeded(out.Applied) {
-			t.Fatalf("updated helper failed:\n%s", FormatTrace(out.Trace))
+			t.Fatalf("updated helper failed:\n%s", NewSessionTrace(out).String())
 		}
 	})
 
@@ -122,7 +122,7 @@ func TestAdaptivityFig3(t *testing.T) {
 		}
 		in, out := runScenario(t, &scenarios.NovelProtocol{}, staleKB, 2, cfg)
 		if !out.Mitigated || !in.Succeeded(out.Applied) {
-			t.Fatalf("in-context helper failed:\n%s", FormatTrace(out.Trace))
+			t.Fatalf("in-context helper failed:\n%s", NewSessionTrace(out).String())
 		}
 	})
 }
@@ -145,7 +145,7 @@ func TestRiskGateBlocksInsufficientPlan(t *testing.T) {
 	cfg.UseQualitativeRisk = false
 	_, noRisk := runScenario(t, &scenarios.NovelProtocol{}, fresh, 3, cfg)
 	if noRisk.WrongMitigations == 0 {
-		t.Errorf("risk-free helper should burn rounds on restart-only mitigation; trace:\n%s", FormatTrace(noRisk.Trace))
+		t.Errorf("risk-free helper should burn rounds on restart-only mitigation; trace:\n%s", NewSessionTrace(noRisk).String())
 	}
 }
 
@@ -192,7 +192,7 @@ func TestEscalationAfterStall(t *testing.T) {
 		t.Fatal("knowledge-free helper mitigated?")
 	}
 	if !out.Escalated {
-		t.Fatalf("expected escalation; trace:\n%s", FormatTrace(out.Trace))
+		t.Fatalf("expected escalation; trace:\n%s", NewSessionTrace(out).String())
 	}
 	if out.TTM <= 0 {
 		t.Error("escalation TTM not accounted")
@@ -343,7 +343,7 @@ func TestPostmortemRendersSession(t *testing.T) {
 	t.Parallel()
 	kbase := kb.Default()
 	in, out := runScenario(t, &scenarios.Cascade{Stage: 5}, kbase, 1, DefaultConfig())
-	pm := Postmortem(in.Incident, out)
+	pm := NewPostmortem(in.Incident, out).String()
 	for _, want := range []string{
 		"# Postmortem:", "## Outcome", "Mitigated in", "## Timeline",
 		"override-wan(B4,healthy)", "## Costs and mistakes", "## Follow-ups",
@@ -361,7 +361,7 @@ func TestPostmortemEscalationFollowUps(t *testing.T) {
 	if out.Mitigated {
 		t.Skip("stale helper unexpectedly mitigated")
 	}
-	pm := Postmortem(in.Incident, out)
+	pm := NewPostmortem(in.Incident, out).String()
 	if !strings.Contains(pm, "Escalated after") {
 		t.Error("escalation outcome missing")
 	}

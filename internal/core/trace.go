@@ -59,8 +59,8 @@ func (t SessionTrace) Display() []obs.Event {
 	return out
 }
 
-// String renders the trace for CLI display, byte-identical to the
-// historical FormatTrace output.
+// String renders the trace for CLI display: one line per display event
+// with its simulated time, round, kind and detail.
 func (t SessionTrace) String() string {
 	var b strings.Builder
 	for _, e := range t.Events {

@@ -334,14 +334,3 @@ func RunSession(model llm.Model, kbase *kb.KB, cfg core.Config, expertise float6
 	emitEnd(o, in, res)
 	return res, out
 }
-
-// RunTraced runs the iterative helper with an explicit model and returns
-// the uniform result, the rendered session trace, and a generated
-// postmortem.
-//
-// Deprecated: the flat string pair carries no structure; use RunSession
-// and render core.NewSessionTrace / core.NewPostmortem (same bytes).
-func RunTraced(model llm.Model, kbase *kb.KB, cfg core.Config, expertise float64, hist *kb.History, in *scenarios.Instance, seed int64) (Result, string, string) {
-	res, out := RunSession(model, kbase, cfg, expertise, hist, in, seed, nil)
-	return res, core.NewSessionTrace(out).String(), core.NewPostmortem(in.Incident, out).String()
-}

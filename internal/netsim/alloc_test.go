@@ -62,3 +62,20 @@ func TestDemandRedistributionAllocFree(t *testing.T) {
 		t.Fatalf("per-tick demand redistribution allocates %.1f objects/op, want 0", avg)
 	}
 }
+
+// A direct RouteDAGFor compute allocates only its result: the DAG, its
+// dense arrays and the distance field copy. The count is pinned so an
+// extra per-build structure (a map mirror, say) fails here at once.
+func TestRouteDAGForAllocs(t *testing.T) {
+	w := scenarios.StandardWorld(rand.New(rand.NewSource(1)))
+	const src, dst = netsim.NodeID("us-east-host-p0-t0-h0"), netsim.NodeID("eu-north-host-p0-t0-h0")
+	if netsim.RouteDAGFor(w.Net, src, dst, nil) == nil {
+		t.Fatal("no DAG")
+	}
+	avg := testing.AllocsPerRun(50, func() {
+		netsim.RouteDAGFor(w.Net, src, dst, nil)
+	})
+	if avg > 7 {
+		t.Fatalf("RouteDAGFor allocates %.1f objects/op, want at most 7", avg)
+	}
+}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,6 +11,15 @@ import (
 // Properties of the ECMP routing DAG: per-hop flow conservation, source
 // fraction 1, destination fraction 1, and agreement between link
 // fractions and node fractions.
+
+// nodeFracs collects a DAG's per-node fractions keyed by ID, for
+// assertions and failure messages; a nil DAG collects to nil.
+func nodeFracs(d *RouteDAG) map[NodeID]float64 {
+	if d == nil {
+		return nil
+	}
+	return maps.Collect(d.Nodes())
+}
 
 func dagWorldNet() *Network {
 	n := NewNetwork()
@@ -31,16 +41,17 @@ func TestRouteDAGConservationProperty(t *testing.T) {
 		if d == nil {
 			return false // backbone is fully connected
 		}
-		if math.Abs(d.NodeFrac[src]-1) > 1e-9 {
+		nf := nodeFracs(d)
+		if math.Abs(nf[src]-1) > 1e-9 {
 			return false
 		}
-		if math.Abs(d.NodeFrac[dst]-1) > 1e-9 {
+		if math.Abs(nf[dst]-1) > 1e-9 {
 			return false
 		}
 		// Flow into each node equals its fraction: sum of incoming link
 		// fractions (directed toward the node).
 		inflow := map[NodeID]float64{}
-		for dl, frac := range d.LinkFrac {
+		for dl, frac := range d.Links() {
 			l := n.Link(dl.Link)
 			to := l.B
 			if !dl.Forward {
@@ -48,7 +59,7 @@ func TestRouteDAGConservationProperty(t *testing.T) {
 			}
 			inflow[to] += frac
 		}
-		for id, f := range d.NodeFrac {
+		for id, f := range d.Nodes() {
 			if id == src {
 				continue
 			}
@@ -58,7 +69,7 @@ func TestRouteDAGConservationProperty(t *testing.T) {
 		}
 		// Total outflow from src is 1.
 		var out float64
-		for dl, frac := range d.LinkFrac {
+		for dl, frac := range d.Links() {
 			l := n.Link(dl.Link)
 			from := l.A
 			if !dl.Forward {
@@ -91,11 +102,12 @@ func TestRouteDAGTransitNodesExcludeEndpoints(t *testing.T) {
 	if d == nil {
 		t.Fatal("no DAG")
 	}
+	nf := nodeFracs(d)
 	for _, id := range d.TransitNodes() {
 		if id == d.Src || id == d.Dst {
 			t.Fatalf("endpoint %s in transit set", id)
 		}
-		if d.NodeFrac[id] <= 0 {
+		if nf[id] <= 0 {
 			t.Fatalf("transit node %s with zero fraction", id)
 		}
 	}
@@ -159,14 +171,43 @@ func TestProbeLossOverDAGBounds(t *testing.T) {
 	flows := []*Flow{{ID: "f", Src: "a", Dst: "d", DemandGbps: 200, Service: "p"}}
 	rep := RouteTraffic(n, flows, nil)
 	dag := RouteDAGFor(n, "a", "d", nil)
-	loss := ProbeLossOverDAG(dag, n, rep)
+	loss := ProbeLossOverDAG(dag, rep)
 	if loss <= 0 || loss > 1 {
 		t.Fatalf("probe loss = %v", loss)
 	}
 	// Probe loss over a lossless report is zero.
 	flows[0].DemandGbps = 10
 	rep = RouteTraffic(n, flows, nil)
-	if got := ProbeLossOverDAG(dag, n, rep); got != 0 {
+	if got := ProbeLossOverDAG(dag, rep); got != 0 {
 		t.Fatalf("lossless probe loss = %v", got)
+	}
+}
+
+// A report from an older topology generation than the probe DAG takes
+// the fallback path, which resolves loss through the report's link map.
+// Growth off the path changes no loss, so the fallback must equal, bit
+// for bit, the fast path against a report recomputed after the growth.
+func TestProbeLossOverDAGGenerationFallback(t *testing.T) {
+	t.Parallel()
+	n := lineNet()
+	n.MutLink(MakeLinkID("b", "c")).CorruptRate = 0.01
+	flows := []*Flow{
+		{ID: "fwd", Src: "a", Dst: "d", DemandGbps: 200, Service: "p"},
+		{ID: "rev", Src: "d", Dst: "a", DemandGbps: 150, Service: "p"},
+	}
+	stale := RouteTraffic(n, flows, nil)
+
+	n.AddNode(Node{ID: "stub"})
+	n.AddLink("b", "stub", 100, 1)
+	fresh := RouteTraffic(n, flows, nil)
+	for _, pair := range [][2]NodeID{{"a", "d"}, {"d", "a"}} {
+		dag := RouteDAGFor(n, pair[0], pair[1], nil)
+		if dag.ot == stale.ot || dag.ot != fresh.ot {
+			t.Fatal("growth did not move the probe DAG to a new ordinal table")
+		}
+		got, want := ProbeLossOverDAG(dag, stale), ProbeLossOverDAG(dag, fresh)
+		if want <= 0 || got != want {
+			t.Fatalf("%s->%s: fallback loss = %v, fast path = %v", pair[0], pair[1], got, want)
+		}
 	}
 }

@@ -97,23 +97,22 @@ func bfsDistDense(ot *ordTable, nodePtrs []*Node, linkPtrs []*Link, srcOrd, dstO
 // trivialDAG is the src == dst case: one node, full fraction, no hops.
 func trivialDAG(ot *ordTable, src NodeID, srcOrd int32) *RouteDAG {
 	return &RouteDAG{
-		Src:      src,
-		Dst:      src,
-		Hops:     0,
-		NodeFrac: map[NodeID]float64{src: 1},
-		LinkFrac: map[DirLink]float64{},
-		ot:       ot,
-		nodes:    []int32{srcOrd},
-		frac:     []float64{1},
-		succOff:  []int32{0, 0},
+		Src:     src,
+		Dst:     src,
+		Hops:    0,
+		ot:      ot,
+		nodes:   []int32{srcOrd},
+		frac:    []float64{1},
+		succOff: []int32{0, 0},
 	}
 }
 
 // buildDAGFromDist materializes the ECMP DAG for src->dst given a
-// complete distance-to-dst field. Level processing order (ascending node
-// ID within each hop) and the fraction-accumulation add sequence exactly
-// mirror the map-based builder this replaced, so NodeFrac/LinkFrac are
-// bit-identical. Returns nil when src is unreachable.
+// complete distance-to-dst field. Levels are processed in ascending node
+// ID within each hop and fractions accumulate in successor CSR order, so
+// the result is a pure function of the topology: any build of the same
+// route yields bit-identical fractions. Returns nil when src is
+// unreachable.
 func buildDAGFromDist(ot *ordTable, linkPtrs []*Link, src, dst NodeID, srcOrd, dstOrd int32, dist []int32, s *routeScratch) *RouteDAG {
 	total := dist[srcOrd]
 	if total < 0 {
@@ -181,28 +180,24 @@ func buildDAGFromDist(ot *ordTable, linkPtrs []*Link, src, dst NodeID, srcOrd, d
 		s.dagIdx[o] = int32(i)
 	}
 	d := &RouteDAG{
-		Src:      src,
-		Dst:      dst,
-		Hops:     int(total),
-		NodeFrac: make(map[NodeID]float64, k),
-		LinkFrac: make(map[DirLink]float64, len(dirOrd)),
-		ot:       ot,
-		nodes:    append([]int32(nil), nodesStage...),
-		frac:     make([]float64, k),
-		succOff:  append([]int32(nil), offStage...),
-		succs:    make([]dagEdge, len(succs)),
-		dirs:     make([]dirFrac, len(dirOrd)),
+		Src:     src,
+		Dst:     dst,
+		Hops:    int(total),
+		ot:      ot,
+		nodes:   append([]int32(nil), nodesStage...),
+		frac:    make([]float64, k),
+		succOff: append([]int32(nil), offStage...),
+		succs:   make([]dagEdge, len(succs)),
+		dirs:    make([]dirFrac, len(dirOrd)),
 	}
 	for i, o := range nodesStage {
 		d.frac[i] = s.frac[o]
-		d.NodeFrac[ot.nodeIDs[o]] = s.frac[o]
 	}
 	for i, ed := range succs {
 		d.succs[i] = dagEdge{node: s.dagIdx[ed.node], dir: ed.dir}
 	}
 	for i, dir := range dirOrd {
 		d.dirs[i] = dirFrac{dir: dir, frac: s.dirFrac[dir]}
-		d.LinkFrac[DirLink{Link: ot.linkIDs[dir>>1], Forward: dir&1 == 0}] = s.dirFrac[dir]
 	}
 
 	// Re-zero the touched scratch so the next build starts clean.

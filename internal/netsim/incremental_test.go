@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 )
 
@@ -76,19 +77,11 @@ func sameDAG(a, b *RouteDAG) error {
 	if a.Hops != b.Hops {
 		return fmt.Errorf("hops %d vs %d", a.Hops, b.Hops)
 	}
-	if len(a.NodeFrac) != len(b.NodeFrac) || len(a.LinkFrac) != len(b.LinkFrac) {
-		return fmt.Errorf("size mismatch: %d/%d nodes, %d/%d links",
-			len(a.NodeFrac), len(b.NodeFrac), len(a.LinkFrac), len(b.LinkFrac))
+	if na, nb := nodeFracs(a), nodeFracs(b); !maps.Equal(na, nb) {
+		return fmt.Errorf("node fractions %v vs %v", na, nb)
 	}
-	for id, fa := range a.NodeFrac {
-		if fb, ok := b.NodeFrac[id]; !ok || fa != fb {
-			return fmt.Errorf("NodeFrac[%s] = %v vs %v", id, fa, fb)
-		}
-	}
-	for dl, fa := range a.LinkFrac {
-		if fb, ok := b.LinkFrac[dl]; !ok || fa != fb {
-			return fmt.Errorf("LinkFrac[%v] = %v vs %v", dl, fa, fb)
-		}
+	if la, lb := maps.Collect(a.Links()), maps.Collect(b.Links()); !maps.Equal(la, lb) {
+		return fmt.Errorf("link fractions %v vs %v", la, lb)
 	}
 	return nil
 }

@@ -40,16 +40,11 @@ type Network struct {
 	// can only happen through those methods) invalidates them wholesale.
 	structVer int
 
-	// nbr caches, per node, the resolved (neighbor node, link) pointer
-	// pairs for its adjacency — eliminating two map lookups per edge in
-	// the routing hot path. Dropped whenever a struct is materialized or
-	// the topology grows, since stale pointers would read old state.
-	nbr map[NodeID][]nbrRef
-
 	// ords is the dense ordinal table (see ordinal.go): ID-only, keyed by
 	// structVer, shared across the clone lineage. nodePtrs/linkPtrs
-	// resolve ordinals to this instance's live structs and follow the
-	// same invalidation rule as nbr.
+	// resolve ordinals to this instance's live structs; they are dropped
+	// whenever a struct is materialized or the topology grows, since
+	// stale pointers would read old state.
 	ords     *ordTable
 	nodePtrs []*Node
 	linkPtrs []*Link
@@ -72,7 +67,6 @@ func NewNetwork() *Network {
 // invalidateDerived drops the pointer-holding caches after any change
 // that replaces structs or alters adjacency.
 func (n *Network) invalidateDerived() {
-	n.nbr = nil
 	n.nodePtrs = nil
 	n.linkPtrs = nil
 }
@@ -316,68 +310,6 @@ func (n *Network) IncidentLinks(id NodeID) []LinkID {
 	out := make([]LinkID, len(n.adj[id]))
 	copy(out, n.adj[id])
 	return out
-}
-
-// nbrRef is one resolved adjacency edge: the neighbor node and connecting
-// link as live pointers plus their IDs, so the routing hot path avoids
-// re-hashing string IDs on every traversal.
-type nbrRef struct {
-	nd  *Node
-	l   *Link
-	id  NodeID
-	lid LinkID
-}
-
-// neighborRefs returns the resolved adjacency of id, building and caching
-// it on first use. The cache is dropped whenever structs are materialized
-// (MutNode/MutLink) or the topology grows, so the pointers always refer
-// to this instance's live structs.
-func (n *Network) neighborRefs(id NodeID) []nbrRef {
-	if n.nbr == nil {
-		n.nbr = make(map[NodeID][]nbrRef, len(n.nodes))
-	}
-	refs, ok := n.nbr[id]
-	if !ok {
-		adj := n.adj[id]
-		if len(adj) > 0 {
-			refs = make([]nbrRef, 0, len(adj))
-			for _, lid := range adj {
-				l := n.links[lid]
-				other := l.Other(id)
-				refs = append(refs, nbrRef{nd: n.nodes[other], l: l, id: other, lid: lid})
-			}
-		}
-		n.nbr[id] = refs
-	}
-	return refs
-}
-
-// usableNeighbors yields (neighbor, link) pairs reachable from id over
-// usable links to usable nodes, in deterministic order. allow filters the
-// nodes considered; nil allows every node.
-func (n *Network) usableNeighbors(id NodeID, allow func(*Node) bool) []neighbor {
-	var out []neighbor
-	for _, r := range n.neighborRefs(id) {
-		if !r.l.Usable() || !r.nd.Usable() {
-			continue
-		}
-		if allow != nil && !allow(r.nd) {
-			continue
-		}
-		out = append(out, neighbor{node: r.id, link: r.lid, l: r.l})
-	}
-	return out
-}
-
-// neighbor is one usable adjacency edge as seen from a node. The link
-// pointer is retained in route DAGs shared across clone lineages, so
-// consumers may only read its immutable fields (ID, A, B, PropDelayMs);
-// mutable state (Down, Isolated, CorruptRate) must be read through the
-// live network.
-type neighbor struct {
-	node NodeID
-	link LinkID
-	l    *Link
 }
 
 // Clone returns a copy-on-write snapshot of the network: the maps and

@@ -36,9 +36,8 @@ type ordTable struct {
 	linkOrd   map[LinkID]int32
 
 	// CSR adjacency: edges of node u are adjEdges[adjOff[u]:adjOff[u+1]],
-	// in sorted-link-ID order (matching the adj map's slices, so dense
-	// traversal visits neighbors in exactly the order the map-based
-	// routines did).
+	// in sorted-link-ID order (matching the adj map's slices, so
+	// traversal order is a function of IDs alone).
 	adjOff   []int32
 	adjEdges []ordEdge
 

@@ -17,10 +17,7 @@ func cacheFlow() *Flow {
 }
 
 func dagUses(d *RouteDAG, id NodeID) bool {
-	if d == nil {
-		return false
-	}
-	_, ok := d.NodeFrac[id]
+	_, ok := nodeFracs(d)[id]
 	return ok
 }
 
@@ -53,7 +50,7 @@ func TestRouteCacheFreshAfterFault(t *testing.T) {
 	n := diamondNet()
 	f := cacheFlow()
 	if d := RouteFlowDAG(n, f, nil); !dagUses(d, "b") || !dagUses(d, "c") {
-		t.Fatalf("baseline DAG should ECMP over b and c, got %v", d.NodeFrac)
+		t.Fatalf("baseline DAG should ECMP over b and c, got %v", nodeFracs(d))
 	}
 
 	// Fault the a-b link the way the fault layer does (COW write): the
@@ -61,7 +58,7 @@ func TestRouteCacheFreshAfterFault(t *testing.T) {
 	n.MutLink(MakeLinkID("a", "b")).Down = true
 	d := RouteFlowDAG(n, f, nil)
 	if dagUses(d, "b") || !dagUses(d, "c") {
-		t.Fatalf("post-fault DAG should avoid b, got %v", d.NodeFrac)
+		t.Fatalf("post-fault DAG should avoid b, got %v", nodeFracs(d))
 	}
 	wantStats(t, n, 0, 2)
 
@@ -71,7 +68,7 @@ func TestRouteCacheFreshAfterFault(t *testing.T) {
 	// depends on.
 	n.MutLink(MakeLinkID("a", "b")).Down = false
 	if d := RouteFlowDAG(n, f, nil); !dagUses(d, "b") || !dagUses(d, "c") {
-		t.Fatalf("post-revert DAG should ECMP again, got %v", d.NodeFrac)
+		t.Fatalf("post-revert DAG should ECMP again, got %v", nodeFracs(d))
 	}
 	wantStats(t, n, 1, 2)
 
@@ -109,7 +106,7 @@ func TestRouteCacheUnreachableThenRepaired(t *testing.T) {
 	f := cacheFlow()
 	n.MutNode("b").Healthy = false
 	if d := RouteFlowDAG(n, f, nil); d != nil {
-		t.Fatalf("expected unreachable, got %v", d.NodeFrac)
+		t.Fatalf("expected unreachable, got %v", nodeFracs(d))
 	}
 	// The nil entry stays valid while b stays down...
 	if d := RouteFlowDAG(n, f, nil); d != nil {
@@ -137,11 +134,11 @@ func TestRouteCacheCloneIsolation(t *testing.T) {
 	c := n.Clone()
 	c.MutLink(MakeLinkID("a", "c")).Down = true
 	if d := RouteFlowDAG(c, f, nil); dagUses(d, "c") || !dagUses(d, "b") {
-		t.Fatalf("clone DAG should avoid c, got %v", d.NodeFrac)
+		t.Fatalf("clone DAG should avoid c, got %v", nodeFracs(d))
 	}
 	h0, _ := n.RouteCacheStats()
 	if d := RouteFlowDAG(n, f, nil); !dagUses(d, "b") || !dagUses(d, "c") {
-		t.Fatalf("parent DAG changed after clone mutation: %v", d.NodeFrac)
+		t.Fatalf("parent DAG changed after clone mutation: %v", nodeFracs(d))
 	}
 	if h1, _ := n.RouteCacheStats(); h1 != h0+1 {
 		t.Fatal("parent lookup after clone mutation should still hit")
@@ -176,7 +173,7 @@ func TestRouteCacheControllerReroute(t *testing.T) {
 	f := cacheFlow()
 
 	if d := RouteFlowDAG(n, f, ctl); !dagUses(d, "w4") || dagUses(d, "w2") {
-		t.Fatalf("preferred-WAN DAG should transit w4, got %v", d.NodeFrac)
+		t.Fatalf("preferred-WAN DAG should transit w4, got %v", nodeFracs(d))
 	}
 
 	// The buggy inconsistency check declares B4 failed; AssignWAN flips
@@ -189,7 +186,7 @@ func TestRouteCacheControllerReroute(t *testing.T) {
 		t.Fatal("setup: B4 should be believed failed")
 	}
 	if d := RouteFlowDAG(n, f, ctl); !dagUses(d, "w2") || dagUses(d, "w4") {
-		t.Fatalf("post-failover DAG should transit w2, got %v", d.NodeFrac)
+		t.Fatalf("post-failover DAG should transit w2, got %v", nodeFracs(d))
 	}
 
 	// Operator override restores B4; the original entry is still cached
@@ -198,7 +195,7 @@ func TestRouteCacheControllerReroute(t *testing.T) {
 	ctl.Evaluate()
 	h0, _ := n.RouteCacheStats()
 	if d := RouteFlowDAG(n, f, ctl); !dagUses(d, "w4") {
-		t.Fatalf("post-override DAG should transit w4 again, got %v", d.NodeFrac)
+		t.Fatalf("post-override DAG should transit w4 again, got %v", nodeFracs(d))
 	}
 	if h1, _ := n.RouteCacheStats(); h1 != h0+1 {
 		t.Fatal("restored WAN assignment should hit the original cache entry")

@@ -1,228 +1,6 @@
 package netsim
 
-import (
-	"container/heap"
-	"slices"
-	"sync"
-)
-
-// Path is a loop-free node/link sequence between two devices.
-type Path struct {
-	Nodes   []NodeID
-	Links   []LinkID
-	DelayMs float64
-}
-
-// Hops reports the number of links on the path.
-func (p Path) Hops() int { return len(p.Links) }
-
 // NodeFilter restricts the nodes a route may traverse. A nil filter allows
 // every node. Source and destination are always allowed regardless of the
 // filter, so a filter only constrains transit nodes.
 type NodeFilter func(*Node) bool
-
-// MaxECMPPaths caps how many equal-cost paths a single flow is split
-// across. Production ECMP groups are similarly bounded by hardware table
-// sizes.
-const MaxECMPPaths = 8
-
-// ECMPPaths returns up to MaxECMPPaths minimum-hop paths from src to dst
-// over usable nodes and links, restricted to transit nodes accepted by
-// allow. Results are deterministic: neighbor expansion follows sorted link
-// IDs. It returns nil when dst is unreachable.
-func ECMPPaths(n *Network, src, dst NodeID, allow NodeFilter) []Path {
-	if src == dst {
-		return []Path{{Nodes: []NodeID{src}}}
-	}
-	srcNode, dstNode := n.Node(src), n.Node(dst)
-	if srcNode == nil || dstNode == nil || !srcNode.Usable() || !dstNode.Usable() {
-		return nil
-	}
-	inner := func(nd *Node) bool {
-		if nd.ID == src || nd.ID == dst {
-			return true
-		}
-		return allow == nil || allow(nd)
-	}
-
-	// BFS from src recording hop distance.
-	dist := map[NodeID]int{src: 0}
-	frontier := []NodeID{src}
-	for len(frontier) > 0 && dist[dst] == 0 {
-		var next []NodeID
-		for _, id := range frontier {
-			for _, nb := range n.usableNeighbors(id, inner) {
-				if _, seen := dist[nb.node]; seen {
-					continue
-				}
-				dist[nb.node] = dist[id] + 1
-				next = append(next, nb.node)
-			}
-		}
-		frontier = next
-	}
-	if _, ok := dist[dst]; !ok {
-		return nil
-	}
-
-	// Walk backward from dst along strictly-decreasing distances,
-	// enumerating shortest paths depth-first in deterministic order.
-	var paths []Path
-	var nodesRev []NodeID
-	var linksRev []LinkID
-	var walk func(id NodeID)
-	walk = func(id NodeID) {
-		if len(paths) >= MaxECMPPaths {
-			return
-		}
-		nodesRev = append(nodesRev, id)
-		defer func() { nodesRev = nodesRev[:len(nodesRev)-1] }()
-		if id == src {
-			p := Path{
-				Nodes: make([]NodeID, len(nodesRev)),
-				Links: make([]LinkID, len(linksRev)),
-			}
-			for i, nd := range nodesRev {
-				p.Nodes[len(nodesRev)-1-i] = nd
-			}
-			for i, l := range linksRev {
-				p.Links[len(linksRev)-1-i] = l
-				p.DelayMs += n.Link(l).PropDelayMs
-			}
-			paths = append(paths, p)
-			return
-		}
-		for _, nb := range n.usableNeighbors(id, inner) {
-			if d, ok := dist[nb.node]; !ok || d != dist[id]-1 {
-				continue
-			}
-			linksRev = append(linksRev, nb.link)
-			walk(nb.node)
-			linksRev = linksRev[:len(linksRev)-1]
-			if len(paths) >= MaxECMPPaths {
-				return
-			}
-		}
-	}
-	walk(dst)
-	return paths
-}
-
-// ShortestPath returns one minimum-delay path from src to dst using
-// Dijkstra over propagation delays, or a zero Path and false when dst is
-// unreachable. It is used where a single deterministic reference path is
-// needed (e.g. latency estimates for customer tunnels).
-func ShortestPath(n *Network, src, dst NodeID, allow NodeFilter) (Path, bool) {
-	if src == dst {
-		return Path{Nodes: []NodeID{src}}, true
-	}
-	srcNode, dstNode := n.Node(src), n.Node(dst)
-	if srcNode == nil || dstNode == nil || !srcNode.Usable() || !dstNode.Usable() {
-		return Path{}, false
-	}
-	inner := func(nd *Node) bool {
-		if nd.ID == src || nd.ID == dst {
-			return true
-		}
-		return allow == nil || allow(nd)
-	}
-
-	type prevHop struct {
-		node NodeID
-		link LinkID
-	}
-	distTo := map[NodeID]float64{src: 0}
-	prev := map[NodeID]prevHop{}
-	pq := acquirePQ(src)
-	defer releasePQ(pq)
-	done := map[NodeID]bool{}
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(pqItem)
-		if done[cur.id] {
-			continue
-		}
-		done[cur.id] = true
-		if cur.id == dst {
-			break
-		}
-		for _, nb := range n.usableNeighbors(cur.id, inner) {
-			nd := cur.dist + nb.l.PropDelayMs
-			if old, ok := distTo[nb.node]; !ok || nd < old {
-				distTo[nb.node] = nd
-				prev[nb.node] = prevHop{node: cur.id, link: nb.link}
-				heap.Push(pq, pqItem{id: nb.node, dist: nd})
-			}
-		}
-	}
-	if !done[dst] {
-		return Path{}, false
-	}
-	var p Path
-	for id := dst; id != src; id = prev[id].node {
-		p.Nodes = append(p.Nodes, id)
-		p.Links = append(p.Links, prev[id].link)
-	}
-	p.Nodes = append(p.Nodes, src)
-	reverseNodes(p.Nodes)
-	reverseLinks(p.Links)
-	p.DelayMs = distTo[dst]
-	return p, true
-}
-
-func reverseNodes(s []NodeID) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-func reverseLinks(s []LinkID) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-type pqItem struct {
-	id   NodeID
-	dist float64
-}
-
-type nodePQ []pqItem
-
-func (q nodePQ) Len() int { return len(q) }
-func (q nodePQ) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
-	}
-	return q[i].id < q[j].id // deterministic tie-break
-}
-func (q nodePQ) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *nodePQ) Push(x any)   { *q = append(*q, x.(pqItem)) }
-func (q *nodePQ) Pop() any     { old := *q; it := old[len(old)-1]; *q = old[:len(old)-1]; return it }
-
-// pqPool recycles Dijkstra priority-queue backing arrays; ShortestPath
-// is called per customer tunnel per telemetry query, and the queue is
-// the only allocation that survives long enough to matter.
-var pqPool = sync.Pool{New: func() any { return new(nodePQ) }}
-
-func acquirePQ(src NodeID) *nodePQ {
-	pq := pqPool.Get().(*nodePQ)
-	*pq = append((*pq)[:0], pqItem{id: src, dist: 0})
-	return pq
-}
-
-func releasePQ(pq *nodePQ) {
-	*pq = (*pq)[:0]
-	pqPool.Put(pq)
-}
-
-// Reachable reports whether dst is reachable from src under the filter.
-func Reachable(n *Network, src, dst NodeID, allow NodeFilter) bool {
-	return len(ECMPPaths(n, src, dst, allow)) > 0
-}
-
-// SortLinkIDs sorts a slice of link IDs in place and returns it;
-// convenience for deterministic iteration in reports and tests.
-func SortLinkIDs(ids []LinkID) []LinkID {
-	slices.Sort(ids)
-	return ids
-}

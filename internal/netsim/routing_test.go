@@ -1,9 +1,8 @@
 package netsim
 
 import (
-	"math/rand"
+	"slices"
 	"testing"
-	"testing/quick"
 )
 
 // lineNet builds a -- b -- c -- d.
@@ -31,140 +30,121 @@ func diamondNet() *Network {
 	return n
 }
 
-func TestECMPPathsLine(t *testing.T) {
+// TestRouteDAGFor pins RouteDAGFor's routing behaviour on small
+// topologies. Every case also routes twice and requires identical DAGs:
+// routing is a pure function of the topology.
+func TestRouteDAGFor(t *testing.T) {
 	t.Parallel()
-	n := lineNet()
-	paths := ECMPPaths(n, "a", "d", nil)
-	if len(paths) != 1 {
-		t.Fatalf("got %d paths, want 1", len(paths))
+	denyAll := func(*Node) bool { return false }
+	cases := []struct {
+		name     string
+		net      func() *Network
+		src, dst NodeID
+		allow    NodeFilter
+		check    func(t *testing.T, n *Network, d *RouteDAG)
+	}{
+		{name: "line", net: lineNet, src: "a", dst: "d",
+			check: func(t *testing.T, n *Network, d *RouteDAG) {
+				if d == nil || d.Hops != 3 {
+					t.Fatalf("DAG = %+v, want 3 hops", d)
+				}
+				if got := d.TransitNodes(); !slices.Equal(got, []NodeID{"b", "c"}) {
+					t.Fatalf("transit = %v, want [b c]", got)
+				}
+			}},
+		{name: "diamond", net: diamondNet, src: "a", dst: "d",
+			check: func(t *testing.T, n *Network, d *RouteDAG) {
+				nf := nodeFracs(d)
+				if d == nil || d.Hops != 2 || nf["b"] != 0.5 || nf["c"] != 0.5 {
+					t.Fatalf("diamond fractions = %v, want b and c at 0.5", nf)
+				}
+			}},
+		{name: "self", net: lineNet, src: "a", dst: "a",
+			check: func(t *testing.T, n *Network, d *RouteDAG) {
+				nf := nodeFracs(d)
+				if d == nil || d.Hops != 0 || len(nf) != 1 || nf["a"] != 1 {
+					t.Fatalf("self DAG = %+v, want the trivial DAG", d)
+				}
+				for dl := range d.Links() {
+					t.Fatalf("self DAG crosses %v", dl)
+				}
+			}},
+		{name: "unreachable", src: "a", dst: "d",
+			net: func() *Network {
+				n := lineNet()
+				n.MutLink(MakeLinkID("b", "c")).Down = true
+				return n
+			},
+			check: func(t *testing.T, n *Network, d *RouteDAG) {
+				if d != nil {
+					t.Fatalf("routed across a down link: %v", nodeFracs(d))
+				}
+				if RouteDAGFor(n, "a", "b", nil) == nil {
+					t.Fatal("a-b should remain reachable")
+				}
+			}},
+		{name: "disconnected", src: "a", dst: "b",
+			net: func() *Network {
+				n := NewNetwork()
+				n.AddNode(Node{ID: "a"})
+				n.AddNode(Node{ID: "b"})
+				return n
+			},
+			check: func(t *testing.T, n *Network, d *RouteDAG) {
+				if d != nil {
+					t.Fatalf("disconnected nodes routed: %v", nodeFracs(d))
+				}
+			}},
+		{name: "down_transit", src: "a", dst: "d",
+			net: func() *Network {
+				n := diamondNet()
+				n.MutNode("b").Healthy = false
+				return n
+			},
+			check: func(t *testing.T, n *Network, d *RouteDAG) {
+				nf := nodeFracs(d)
+				if _, ok := nf["b"]; ok || nf["c"] != 1 {
+					t.Fatalf("fractions = %v, want all of the flow via c", nf)
+				}
+			}},
+		{name: "deny_all_filter", net: lineNet, src: "a", dst: "d", allow: denyAll,
+			check: func(t *testing.T, n *Network, d *RouteDAG) {
+				// The filter rejects every transit node but spares the
+				// endpoints: a->d has no path, adjacent a->b needs none.
+				if d != nil {
+					t.Fatalf("filter should block transit: %v", nodeFracs(d))
+				}
+				if d := RouteDAGFor(n, "a", "b", denyAll); d == nil || d.Hops != 1 {
+					t.Fatalf("adjacent nodes need no transit: got %+v", d)
+				}
+			}},
+		{name: "clos_cross_pod", src: "r1-host-p0-t0-h0", dst: "r1-host-p1-t0-h0",
+			net: func() *Network {
+				n := NewNetwork()
+				BuildClos(n, DefaultClosConfig("r1"))
+				return n
+			},
+			check: func(t *testing.T, n *Network, d *RouteDAG) {
+				if d == nil {
+					t.Fatal("no cross-pod route")
+				}
+				for _, id := range d.TransitNodes() {
+					if n.Node(id).Kind == KindSpine {
+						return
+					}
+				}
+				t.Fatalf("cross-pod route %v avoids spines", d.TransitNodes())
+			}},
 	}
-	p := paths[0]
-	if p.Hops() != 3 {
-		t.Errorf("hops = %d, want 3", p.Hops())
-	}
-	want := []NodeID{"a", "b", "c", "d"}
-	for i, id := range want {
-		if p.Nodes[i] != id {
-			t.Fatalf("path = %v, want %v", p.Nodes, want)
-		}
-	}
-	if p.DelayMs != 3 {
-		t.Errorf("delay = %v, want 3", p.DelayMs)
-	}
-}
-
-func TestECMPPathsDiamond(t *testing.T) {
-	t.Parallel()
-	n := diamondNet()
-	paths := ECMPPaths(n, "a", "d", nil)
-	if len(paths) != 2 {
-		t.Fatalf("got %d paths, want 2", len(paths))
-	}
-	for _, p := range paths {
-		if p.Hops() != 2 {
-			t.Errorf("path %v has %d hops, want 2", p.Nodes, p.Hops())
-		}
-	}
-}
-
-func TestECMPPathsSelf(t *testing.T) {
-	t.Parallel()
-	n := lineNet()
-	paths := ECMPPaths(n, "a", "a", nil)
-	if len(paths) != 1 || paths[0].Hops() != 0 {
-		t.Fatalf("self path = %+v", paths)
-	}
-}
-
-func TestECMPPathsUnreachable(t *testing.T) {
-	t.Parallel()
-	n := lineNet()
-	n.Link(MakeLinkID("b", "c")).Down = true
-	if got := ECMPPaths(n, "a", "d", nil); got != nil {
-		t.Fatalf("expected no path across down link, got %d", len(got))
-	}
-	if Reachable(n, "a", "d", nil) {
-		t.Error("Reachable should be false")
-	}
-	if !Reachable(n, "a", "b", nil) {
-		t.Error("a-b should remain reachable")
-	}
-}
-
-func TestECMPPathsRespectsNodeHealth(t *testing.T) {
-	t.Parallel()
-	n := diamondNet()
-	n.Node("b").Healthy = false
-	paths := ECMPPaths(n, "a", "d", nil)
-	if len(paths) != 1 {
-		t.Fatalf("got %d paths, want 1 (via c)", len(paths))
-	}
-	if paths[0].Nodes[1] != "c" {
-		t.Errorf("path = %v, want transit c", paths[0].Nodes)
-	}
-}
-
-func TestECMPPathsFilterSparesEndpoints(t *testing.T) {
-	t.Parallel()
-	n := lineNet()
-	// Filter rejects everything, but src/dst must still be allowed;
-	// transit b and c are rejected so a->d has no path, a->b does.
-	deny := func(*Node) bool { return false }
-	if got := ECMPPaths(n, "a", "d", deny); got != nil {
-		t.Errorf("filter should block transit: got %d paths", len(got))
-	}
-	if got := ECMPPaths(n, "a", "b", deny); len(got) != 1 {
-		t.Errorf("adjacent nodes need no transit: got %d paths", len(got))
-	}
-}
-
-func TestECMPPathsCap(t *testing.T) {
-	t.Parallel()
-	// src connected to dst via 12 parallel two-hop paths; ECMP must cap.
-	n := NewNetwork()
-	n.AddNode(Node{ID: "s"})
-	n.AddNode(Node{ID: "d"})
-	for i := 0; i < 12; i++ {
-		mid := NodeID(rune('a' + i))
-		n.AddNode(Node{ID: "m" + mid})
-		n.AddLink("s", "m"+mid, 10, 1)
-		n.AddLink("m"+mid, "d", 10, 1)
-	}
-	paths := ECMPPaths(n, "s", "d", nil)
-	if len(paths) != MaxECMPPaths {
-		t.Fatalf("got %d paths, want cap %d", len(paths), MaxECMPPaths)
-	}
-}
-
-func TestShortestPathPrefersLowDelay(t *testing.T) {
-	t.Parallel()
-	n := NewNetwork()
-	for _, id := range []NodeID{"a", "b", "c", "d"} {
-		n.AddNode(Node{ID: id})
-	}
-	n.AddLink("a", "b", 100, 10) // a-b-d: delay 20 but 2 hops
-	n.AddLink("b", "d", 100, 10)
-	n.AddLink("a", "c", 100, 1) // a-c-d: delay 2
-	n.AddLink("c", "d", 100, 1)
-	p, ok := ShortestPath(n, "a", "d", nil)
-	if !ok {
-		t.Fatal("no path")
-	}
-	if p.DelayMs != 2 {
-		t.Errorf("delay = %v, want 2 (via c)", p.DelayMs)
-	}
-	if p.Nodes[1] != "c" {
-		t.Errorf("path = %v, want via c", p.Nodes)
-	}
-}
-
-func TestShortestPathUnreachable(t *testing.T) {
-	t.Parallel()
-	n := NewNetwork()
-	n.AddNode(Node{ID: "a"})
-	n.AddNode(Node{ID: "b"})
-	if _, ok := ShortestPath(n, "a", "b", nil); ok {
-		t.Fatal("disconnected nodes reported reachable")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			n := tc.net()
+			d := RouteDAGFor(n, tc.src, tc.dst, tc.allow)
+			tc.check(t, n, d)
+			if err := sameDAG(d, RouteDAGFor(n, tc.src, tc.dst, tc.allow)); err != nil {
+				t.Fatalf("repeat route differs: %v", err)
+			}
+		})
 	}
 }
 
@@ -179,30 +159,9 @@ func TestClosAllPairsReachable(t *testing.T) {
 	// Sample pairs (full mesh is slow in -short runs).
 	for i := 0; i < len(hosts); i += 5 {
 		for j := len(hosts) - 1; j > i; j -= 7 {
-			if !Reachable(n, hosts[i].ID, hosts[j].ID, nil) {
+			if RouteDAGFor(n, hosts[i].ID, hosts[j].ID, nil) == nil {
 				t.Fatalf("%s cannot reach %s", hosts[i].ID, hosts[j].ID)
 			}
-		}
-	}
-}
-
-func TestClosCrossPodUsesSpine(t *testing.T) {
-	t.Parallel()
-	n := NewNetwork()
-	BuildClos(n, DefaultClosConfig("r1"))
-	paths := ECMPPaths(n, "r1-host-p0-t0-h0", "r1-host-p1-t0-h0", nil)
-	if len(paths) == 0 {
-		t.Fatal("no cross-pod path")
-	}
-	for _, p := range paths {
-		hasSpine := false
-		for _, id := range p.Nodes {
-			if n.Node(id).Kind == KindSpine {
-				hasSpine = true
-			}
-		}
-		if !hasSpine {
-			t.Fatalf("cross-pod path %v avoids spines", p.Nodes)
 		}
 	}
 }
@@ -216,7 +175,7 @@ func TestBackboneConnectsRegions(t *testing.T) {
 	}
 	src := NodeID("us-east-host-p0-t0-h0")
 	dst := NodeID("eu-north-host-p0-t0-h0")
-	if !Reachable(n, src, dst, nil) {
+	if RouteDAGFor(n, src, dst, nil) == nil {
 		t.Fatal("cross-region hosts unreachable")
 	}
 	// Restricting transit to each WAN individually must still connect.
@@ -225,76 +184,8 @@ func TestBackboneConnectsRegions(t *testing.T) {
 		filter := func(nd *Node) bool {
 			return nd.Kind != KindWANRouter || nd.WANName == wan
 		}
-		if !Reachable(n, src, dst, filter) {
+		if RouteDAGFor(n, src, dst, filter) == nil {
 			t.Fatalf("regions unreachable over WAN %s alone", wan)
-		}
-	}
-}
-
-// Property: every ECMP path returned is loop-free, starts at src, ends at
-// dst, and each consecutive pair is joined by the reported link.
-func TestECMPPathsWellFormedProperty(t *testing.T) {
-	t.Parallel()
-	n := NewNetwork()
-	BuildBackbone(n, DefaultBackboneConfig())
-	hosts := n.NodesByKind(KindHost)
-	rng := rand.New(rand.NewSource(7))
-
-	check := func(i, j uint8) bool {
-		src := hosts[int(i)%len(hosts)].ID
-		dst := hosts[int(j)%len(hosts)].ID
-		for _, p := range ECMPPaths(n, src, dst, nil) {
-			if p.Nodes[0] != src || p.Nodes[len(p.Nodes)-1] != dst {
-				return false
-			}
-			seen := map[NodeID]bool{}
-			for _, id := range p.Nodes {
-				if seen[id] {
-					return false // loop
-				}
-				seen[id] = true
-			}
-			if len(p.Links) != len(p.Nodes)-1 {
-				return false
-			}
-			for k, lid := range p.Links {
-				l := n.Link(lid)
-				if l == nil {
-					return false
-				}
-				a, b := p.Nodes[k], p.Nodes[k+1]
-				if !(l.A == a && l.B == b) && !(l.A == b && l.B == a) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	cfg := &quick.Config{MaxCount: 60, Rand: rng}
-	if err := quick.Check(check, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: routing is deterministic — repeated calls return identical
-// path sets.
-func TestECMPPathsDeterministic(t *testing.T) {
-	t.Parallel()
-	n := NewNetwork()
-	BuildClos(n, DefaultClosConfig("r1"))
-	a, b := NodeID("r1-host-p0-t0-h0"), NodeID("r1-host-p3-t3-h1")
-	first := ECMPPaths(n, a, b, nil)
-	for trial := 0; trial < 5; trial++ {
-		again := ECMPPaths(n, a, b, nil)
-		if len(again) != len(first) {
-			t.Fatalf("path count changed: %d vs %d", len(again), len(first))
-		}
-		for i := range first {
-			for k := range first[i].Nodes {
-				if first[i].Nodes[k] != again[i].Nodes[k] {
-					t.Fatalf("path %d differs between calls", i)
-				}
-			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"slices"
 )
 
@@ -57,18 +58,16 @@ type dirFrac struct {
 type RouteDAG struct {
 	Src, Dst NodeID
 	Hops     int
-	NodeFrac map[NodeID]float64
-	LinkFrac map[DirLink]float64
 
-	// Dense mirror over the ordinal table the DAG was computed against
-	// (see ordinal.go): nodes lists node ordinals in level order — src
-	// first, then each hop level in ascending-ID order, dst last — with
-	// frac the matching transit fractions and succOff/succs the per-node
-	// shortest-path successor CSR. dirs holds the per-directed-link
-	// fractions in first-touch order; the traffic engine's load
-	// accumulation walks it instead of ranging the LinkFrac map. All of
-	// it is immutable after construction, so a DAG shared across clone
-	// lineages evaluates identically from any member.
+	// The route in dense form over the ordinal table it was computed
+	// against (see ordinal.go): nodes lists node ordinals in level order
+	// — src first, then each hop level in ascending-ID order, dst last —
+	// with frac the matching transit fractions and succOff/succs the
+	// per-node shortest-path successor CSR. dirs holds the
+	// per-directed-link fractions in first-touch order. All of it is
+	// immutable after construction, so a DAG shared across clone
+	// lineages evaluates identically from any member. Nodes and Links
+	// are the read-only views.
 	ot      *ordTable
 	nodes   []int32
 	frac    []float64
@@ -77,13 +76,39 @@ type RouteDAG struct {
 	dirs    []dirFrac
 }
 
+// Nodes yields every node on the DAG with the fraction of the flow
+// transiting it, in level order: src first, dst last.
+func (d *RouteDAG) Nodes() iter.Seq2[NodeID, float64] {
+	return func(yield func(NodeID, float64) bool) {
+		for i, o := range d.nodes {
+			if !yield(d.ot.nodeIDs[o], d.frac[i]) {
+				return
+			}
+		}
+	}
+}
+
+// Links yields every directed link the DAG crosses with the fraction of
+// the flow crossing it, in first-touch order. A DAG crosses each link
+// in at most one direction.
+func (d *RouteDAG) Links() iter.Seq2[DirLink, float64] {
+	return func(yield func(DirLink, float64) bool) {
+		for _, df := range d.dirs {
+			if !yield(DirLink{Link: d.ot.linkIDs[df.dir>>1], Forward: df.dir&1 == 0}, df.frac) {
+				return
+			}
+		}
+	}
+}
+
 // TransitNodes returns nodes (excluding src and dst) that carry a positive
 // fraction of the flow, sorted by ID. Triggers use this to decide which
 // devices "saw" a flow.
 func (d *RouteDAG) TransitNodes() []NodeID {
 	var out []NodeID
-	for id, f := range d.NodeFrac {
-		if f > 0 && id != d.Src && id != d.Dst {
+	for i, o := range d.nodes {
+		id := d.ot.nodeIDs[o]
+		if d.frac[i] > 0 && id != d.Src && id != d.Dst {
 			out = append(out, id)
 		}
 	}
@@ -102,9 +127,8 @@ func RouteDAGFor(n *Network, src, dst NodeID, allow NodeFilter) *RouteDAG {
 // deliveredDense runs the delivery dynamic program backward over the
 // DAG's level order: dp[i] becomes the probability a unit of traffic
 // entering node i reaches dst, given per-directed-link loss rates
-// indexed by the DAG's ordinal table. Successor sums run in CSR order —
-// add for add the same arithmetic as the recursive map-based program
-// this replaced, so results are bit-identical.
+// indexed by the DAG's ordinal table. Successor sums run in CSR order,
+// so the result is a pure function of the DAG and the loss rates.
 func (d *RouteDAG) deliveredDense(loss []float64, dp []float64) float64 {
 	k := len(d.nodes)
 	dp[k-1] = 1 // dst
@@ -138,28 +162,6 @@ func (d *RouteDAG) delayDense(linkPtrs []*Link, dp []float64) float64 {
 		var sum float64
 		for _, ed := range d.succs[s:e] {
 			sum += linkPtrs[ed.dir>>1].PropDelayMs + dp[ed.node]
-		}
-		dp[i] = sum / float64(e-s)
-	}
-	return dp[0]
-}
-
-// deliveredFunc is deliveredDense with an indirect loss lookup; the
-// probe fallback path uses it when report and DAG come from different
-// topology generations.
-func (d *RouteDAG) deliveredFunc(loss func(dir int32) float64) float64 {
-	dp := make([]float64, len(d.nodes))
-	k := len(d.nodes)
-	dp[k-1] = 1
-	for i := k - 2; i >= 0; i-- {
-		s, e := d.succOff[i], d.succOff[i+1]
-		if s == e {
-			dp[i] = 0
-			continue
-		}
-		var sum float64
-		for _, ed := range d.succs[s:e] {
-			sum += (1 - loss(ed.dir)) * dp[ed.node]
 		}
 		dp[i] = sum / float64(e-s)
 	}
@@ -336,23 +338,24 @@ func UniformMeshFlows(endpoints []NodeID, demandGbps float64, service string) []
 // ProbeLossOverDAG evaluates the loss a zero-demand probe would observe
 // traversing dag, given the per-link loss rates already computed in rep.
 // Telemetry probes (PingMesh) use it so probing does not perturb load.
-func ProbeLossOverDAG(dag *RouteDAG, n *Network, rep *TrafficReport) float64 {
-	_ = n // retained for API stability; the DAG carries its link data
+func ProbeLossOverDAG(dag *RouteDAG, rep *TrafficReport) float64 {
+	dp := make([]float64, len(dag.nodes))
 	if rep.ot == dag.ot && rep.dirLoss != nil {
-		dp := make([]float64, len(dag.nodes))
 		return clamp01(1 - dag.deliveredDense(rep.dirLoss, dp))
 	}
 	// Report and DAG come from different topology generations: resolve
-	// per-directed-link loss through the report's link map instead.
-	loss := func(dir int32) float64 {
-		ls := rep.LinkStats[dag.ot.linkIDs[dir>>1]]
+	// the DAG's directed links through the report's link map into a
+	// dense loss slice over the DAG's own ordinal table.
+	loss := make([]float64, 2*len(dag.ot.linkIDs))
+	for _, df := range dag.dirs {
+		ls := rep.LinkStats[dag.ot.linkIDs[df.dir>>1]]
 		if ls == nil {
-			return 0
+			continue
 		}
-		if dir&1 == 0 {
-			return ls.LossAB
+		loss[df.dir] = ls.LossAB
+		if df.dir&1 == 1 {
+			loss[df.dir] = ls.LossBA
 		}
-		return ls.LossBA
 	}
-	return clamp01(1 - dag.deliveredFunc(loss))
+	return clamp01(1 - dag.deliveredDense(loss, dp))
 }

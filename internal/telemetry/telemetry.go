@@ -116,7 +116,7 @@ func probeLoss(w *netsim.World, rep *netsim.TrafficReport, src, dst netsim.NodeI
 	if dag == nil {
 		return 1
 	}
-	return netsim.ProbeLossOverDAG(dag, w.Net, rep)
+	return netsim.ProbeLossOverDAG(dag, rep)
 }
 
 // MaxLoss returns the worst pair loss in a PingMesh result.

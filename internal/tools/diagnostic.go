@@ -3,6 +3,7 @@ package tools
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -118,7 +119,7 @@ func dominantService(w *netsim.World, lid netsim.LinkID) string {
 		if !fs.Routed {
 			continue
 		}
-		for dl, frac := range fs.DAG.LinkFrac {
+		for dl, frac := range fs.DAG.Links() {
 			if dl.Link == lid {
 				load[fs.Flow.Service] += frac * fs.Flow.DemandGbps
 			}
@@ -216,7 +217,7 @@ func (t *CountersTool) Invoke(w *netsim.World, _ map[string]string) (Result, err
 	for lid := range seen {
 		ids = append(ids, lid)
 	}
-	netsim.SortLinkIDs(ids)
+	slices.Sort(ids)
 	grayFound := false
 	for _, lid := range ids {
 		o := seen[lid]
