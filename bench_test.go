@@ -129,7 +129,7 @@ func BenchmarkE9_Sensitivity(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 func benchWorld() *netsim.World {
-	return scenarios.StandardWorld(rand.New(rand.NewSource(1)))
+	return scenarios.StandardWorld()
 }
 
 func BenchmarkRouteTraffic(b *testing.B) {
@@ -162,6 +162,19 @@ func BenchmarkWorldClone(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if w.Clone() == nil {
 			b.Fatal("nil clone")
+		}
+	}
+}
+
+// BenchmarkStandardWorld is the per-incident world cost: a fork of the
+// process-wide standard world template.
+func BenchmarkStandardWorld(b *testing.B) {
+	benchWorld()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if scenarios.StandardWorld() == nil {
+			b.Fatal("nil world")
 		}
 	}
 }

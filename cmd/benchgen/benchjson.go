@@ -148,7 +148,7 @@ func runBenchJSON(c *cliflags.Common, path string) error {
 	}
 
 	// Substrate micro-kernels, mirroring bench_test.go.
-	w := scenarios.StandardWorld(randsrc.New(1))
+	w := scenarios.StandardWorld()
 	add("RouteTraffic", 50, func(int) string {
 		w.Invalidate()
 		w.Recompute()
@@ -166,6 +166,12 @@ func runBenchJSON(c *cliflags.Common, path string) error {
 			panic("bench-json: nil clone")
 		}
 		return "COW what-if snapshot of the recomputed standard world"
+	})
+	add("StandardWorld", 500, func(int) string {
+		if scenarios.StandardWorld() == nil {
+			panic("bench-json: nil world")
+		}
+		return "fork of the process-wide standard world template"
 	})
 	seedSink := 0
 	add("SeedRand", 2000, func(i int) string {

@@ -33,7 +33,7 @@ func main() {
 
 	var w *netsim.World
 	if *scenario == "" {
-		w = scenarios.StandardWorld(randsrc.New(*seed))
+		w = scenarios.StandardWorld()
 	} else {
 		sc := scenarios.ByName(*scenario)
 		if sc == nil {

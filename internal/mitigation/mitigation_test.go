@@ -268,12 +268,12 @@ func TestVerifier(t *testing.T) {
 	// A wedged device blocks mitigation even without loss; isolating it
 	// is an accepted mitigation.
 	w.Resolve("config-inconsistency:B4:10.0.0.0/16")
-	w.Net.Node("us-east-spine-3").Healthy = false
+	w.Net.MutNode("us-east-spine-3").Healthy = false
 	w.Invalidate()
 	if v.Mitigated() {
 		t.Fatal("wedged device should block mitigated state")
 	}
-	w.Net.Node("us-east-spine-3").Isolated = true
+	w.Net.MutNode("us-east-spine-3").Isolated = true
 	w.Invalidate()
 	if !v.Mitigated() {
 		t.Fatal("isolated wedged device should be acceptable")

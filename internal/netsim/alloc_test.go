@@ -1,7 +1,6 @@
 package netsim_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/netsim"
@@ -18,7 +17,7 @@ func TestWarmRecomputeAllocFree(t *testing.T) {
 	if !netsim.RouteCacheEnabled() {
 		t.Skip("route cache disabled")
 	}
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(1)))
+	w := scenarios.StandardWorld()
 	w.Invalidate()
 	w.Recompute()
 	avg := testing.AllocsPerRun(50, func() {
@@ -34,7 +33,7 @@ func TestDemandRedistributionAllocFree(t *testing.T) {
 	if !netsim.RouteCacheEnabled() {
 		t.Skip("route cache disabled")
 	}
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(1)))
+	w := scenarios.StandardWorld()
 	flows := w.Flows()
 	if len(flows) < 2 {
 		t.Fatal("standard world has too few flows")
@@ -67,7 +66,7 @@ func TestDemandRedistributionAllocFree(t *testing.T) {
 // dense arrays and the distance field copy. The count is pinned so an
 // extra per-build structure (a map mirror, say) fails here at once.
 func TestRouteDAGForAllocs(t *testing.T) {
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(1)))
+	w := scenarios.StandardWorld()
 	const src, dst = netsim.NodeID("us-east-host-p0-t0-h0"), netsim.NodeID("eu-north-host-p0-t0-h0")
 	if netsim.RouteDAGFor(w.Net, src, dst, nil) == nil {
 		t.Fatal("no DAG")

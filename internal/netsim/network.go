@@ -312,6 +312,26 @@ func (n *Network) IncidentLinks(id NodeID) []LinkID {
 	return out
 }
 
+// Share marks n's maps and structs as shared copy-on-write state, as
+// Clone does, without making a copy. It writes n only when n is not
+// already shared. A template is shared once when it is built; Fork then
+// only reads it, so any number of goroutines may fork it at once.
+func (n *Network) Share() {
+	if n.shared() {
+		return
+	}
+	n.cow = true
+	n.sharedNodes, n.sharedLinks, n.sharedAdj = true, true, true
+	// Structs this instance privately copied become visible to copies
+	// through the shared maps, so ownership resets on both sides.
+	n.ownNodes, n.ownLinks = nil, nil
+}
+
+// shared reports whether n is in the state Share leaves it in.
+func (n *Network) shared() bool {
+	return n.cow && n.sharedNodes && n.sharedLinks && n.sharedAdj && n.ownNodes == nil && n.ownLinks == nil
+}
+
 // Clone returns a copy-on-write snapshot of the network: the maps and
 // structs are shared with this instance (and tagged so either side copies
 // before writing), and the route cache is shared outright so what-if
@@ -319,11 +339,26 @@ func (n *Network) IncidentLinks(id NodeID) []LinkID {
 // to evaluate "what if we applied this mitigation" without touching live
 // state.
 func (n *Network) Clone() *Network {
-	n.cow = true
-	n.sharedNodes, n.sharedLinks, n.sharedAdj = true, true, true
-	// Structs this instance privately copied are now visible to the new
-	// clone through the shared maps, so ownership resets on both sides.
-	n.ownNodes, n.ownLinks = nil, nil
+	n.Share()
+	return n.snapshot(n.rc)
+}
+
+// Fork is Clone for an independent lineage: the copy gets a private
+// route cache holding the same entries and counters as n's, so it
+// routes and counts exactly as n would from here on, and may be used
+// from another goroutine than n's other forks. Fork never writes n, so
+// n must already be shared: it panics otherwise.
+func (n *Network) Fork() *Network {
+	if !n.shared() {
+		panic("netsim: Fork of a network that is not shared; call Share first")
+	}
+	return n.snapshot(n.rc.fork())
+}
+
+// snapshot is the copy body of Clone and Fork over a shared n. The
+// pointer tables are shared too: they are replaced, never written in
+// place, when either side materializes a struct.
+func (n *Network) snapshot(rc *routeCache) *Network {
 	return &Network{
 		nodes:       n.nodes,
 		links:       n.links,
@@ -334,6 +369,8 @@ func (n *Network) Clone() *Network {
 		sharedAdj:   true,
 		structVer:   n.structVer,
 		ords:        n.ords,
-		rc:          n.rc,
+		nodePtrs:    n.nodePtrs,
+		linkPtrs:    n.linkPtrs,
+		rc:          rc,
 	}
 }

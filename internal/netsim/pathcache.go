@@ -1,6 +1,9 @@
 package netsim
 
-import "sync/atomic"
+import (
+	"maps"
+	"sync/atomic"
+)
 
 // This file implements the what-if fast path's routing cache: ECMP route
 // DAGs are computed once per (topology state, src, dst, filter) and
@@ -29,7 +32,8 @@ import "sync/atomic"
 //
 // The cache is intentionally not locked: a Network lineage (a world and
 // its what-if clones) is only ever used from one goroutine; the parallel
-// harness gives each trial its own world.
+// harness gives each trial its own world. Network.Fork starts a new
+// lineage with a private copy of the cache.
 
 // routeCacheEnabled globally gates the cache so benchmarks and the
 // determinism tests can diff cached vs uncached output byte-for-byte.
@@ -95,6 +99,14 @@ type routeCache struct {
 
 func newRouteCache() *routeCache {
 	return &routeCache{entries: make(map[routeKey][2]*routeEntry)}
+}
+
+// fork returns a private copy of the cache for an independent lineage
+// (Network.Fork): the same entries, shared by pointer because an entry
+// is immutable once stored, and the same cumulative counters, with
+// fresh scratch.
+func (c *routeCache) fork() *routeCache {
+	return &routeCache{entries: maps.Clone(c.entries), hits: c.hits, misses: c.misses, repairs: c.repairs}
 }
 
 func (c *routeCache) store(k routeKey, e *routeEntry) {

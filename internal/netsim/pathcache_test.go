@@ -237,3 +237,42 @@ func TestRouteCacheMatchesUncachedRouting(t *testing.T) {
 		t.Fatalf("cached routing diverged from fresh routing:\n%s\nvs\n%s", cached, fresh)
 	}
 }
+
+func TestRouteCacheForkIsPrivate(t *testing.T) {
+	if !RouteCacheEnabled() {
+		t.Skip("route cache disabled")
+	}
+	n := diamondNet()
+	f := cacheFlow()
+	RouteFlowDAG(n, f, nil)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Fork of an unshared network should panic, not write it")
+			}
+		}()
+		n.Fork()
+	}()
+	n.Share()
+
+	// The fork starts warm, with the parent's counters, and counts on
+	// its own from there.
+	c := n.Fork()
+	if h, m := c.RouteCacheStats(); h != 0 || m != 1 {
+		t.Fatalf("fork counters %d/%d, want the parent's 0/1", h, m)
+	}
+	RouteFlowDAG(c, f, nil)
+	if h, m := c.RouteCacheStats(); h != 1 || m != 1 {
+		t.Fatalf("fork lookup should hit the copied entry, counters %d/%d", h, m)
+	}
+	c.MutLink(MakeLinkID("a", "c")).Down = true
+	if d := RouteFlowDAG(c, f, nil); dagUses(d, "c") {
+		t.Fatalf("fork DAG should avoid c, got %v", nodeFracs(d))
+	}
+	if h, m := n.RouteCacheStats(); h != 0 || m != 1 {
+		t.Fatalf("fork lookups moved the parent's counters to %d/%d", h, m)
+	}
+	if d := RouteFlowDAG(n, f, nil); !dagUses(d, "b") || !dagUses(d, "c") {
+		t.Fatalf("parent DAG changed after fork mutation: %v", nodeFracs(d))
+	}
+}

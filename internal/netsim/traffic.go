@@ -242,6 +242,26 @@ type TrafficReport struct {
 	dirLoss []float64
 }
 
+// forkTo returns a copy of r for a fork whose flows are to: the slab
+// copies, in the same order, of the flows r was computed over.
+// Link and service statistics, DAGs and the loss slab are shared: only
+// r's engine writes them, and a forked world replaces its report on its
+// first recompute.
+func (r *TrafficReport) forkTo(to []*Flow) *TrafficReport {
+	if r == nil {
+		return nil
+	}
+	c := *r
+	slab := make([]FlowStats, len(r.FlowStats))
+	c.FlowStats = make([]*FlowStats, len(r.FlowStats))
+	for i, fs := range r.FlowStats {
+		slab[i] = *fs
+		slab[i].Flow = to[i]
+		c.FlowStats[i] = &slab[i]
+	}
+	return &c
+}
+
 // OverallLossRate reports the demand-weighted loss fraction across all flows.
 func (r *TrafficReport) OverallLossRate() float64 {
 	if r.TotalDemand == 0 {

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"time"
 )
@@ -79,7 +80,8 @@ type World struct {
 
 	// Attachments carries cross-layer handles (e.g. the telemetry
 	// recorder) without netsim depending on the layers above. Clones do
-	// not inherit attachments.
+	// not inherit attachments; forks inherit those that implement
+	// Attachment.
 	Attachments map[string]any
 
 	flows    []*Flow
@@ -91,7 +93,8 @@ type World struct {
 
 	// engine is this world's persistent traffic engine: it owns the
 	// report slabs and re-derives only what changed between recomputes.
-	// Clones get a fresh zero-value engine via NewWorld.
+	// Clones and forks get a fresh zero-value engine via NewWorld; its
+	// first pass is a full one.
 	engine trafficEngine
 
 	schedule []scheduledEvent
@@ -341,21 +344,45 @@ func (w *World) ActiveFaults() []string {
 // FaultActive reports whether the fault with the given ID is unresolved.
 func (w *World) FaultActive(id string) bool { _, ok := w.faults[id]; return ok }
 
+// Attachment is implemented by World.Attachments values that follow
+// their world into forks. Fork drops attachments that do not implement
+// it, as Clone drops every attachment.
+type Attachment interface {
+	// ForkFor returns this attachment's copy bound to the fork w, as if
+	// it had been attached to w when w was built. It must only read the
+	// receiver.
+	ForkFor(w *World) any
+}
+
 // Clone returns a what-if copy of the world. The network is a
-// copy-on-write snapshot (Network.Clone shares the topology maps until
-// either side writes); flows are slab-copied in one allocation because
-// mitigations mutate them in place; controller, broken monitors and
-// triggers are copied; the clock, change log and syslog are
-// shared-by-value snapshots (risk assessment only reads them). Mutating
-// the clone never affects the original — the risk assessor relies on
-// this to evaluate candidate mitigations safely.
-func (w *World) Clone() *World {
+// copy-on-write snapshot that shares the route cache with w (see
+// Network.Clone); flows are slab-copied because mitigations mutate them
+// in place; controller, broken monitors, baselines, triggers, faults,
+// the change log and the syslog are copied. The copy starts with no
+// traffic report, no scheduled events and no attachments: risk
+// assessment only recomputes and reads it. Mutating the clone never
+// affects the original — the risk assessor relies on this to evaluate
+// candidate mitigations safely.
+func (w *World) Clone() *World { return w.copyWorld(w.Net.Clone(), false) }
+
+// Fork returns an independent copy of the world that is observationally
+// identical to w: everything Clone copies, plus the scheduled events, a
+// copy of the traffic report over the fork's own flows, attachments
+// that implement Attachment, and a private copy of the route cache with
+// its entries and counters. w.Net must be shared (Network.Share); Fork
+// then only reads w, so a template world may be forked from many
+// goroutines at once. The template itself must never be mutated.
+func (w *World) Fork() *World { return w.copyWorld(w.Net.Fork(), true) }
+
+// copyWorld is the copy body of Clone and Fork over net, a copy of
+// w.Net. fork selects the state only Fork carries over.
+func (w *World) copyWorld(net *Network, fork bool) *World {
 	var ctl *Controller
 	if w.Ctl != nil {
 		ctl = w.Ctl.Clone()
 	}
-	c := NewWorld(w.Net.Clone(), ctl, w.Backbone)
-	c.Clock.Advance(w.Clock.Now())
+	c := NewWorld(net, ctl, w.Backbone)
+	c.Clock.now = w.Clock.now
 	if len(w.flows) > 0 {
 		slab := make([]Flow, len(w.flows))
 		c.flows = make([]*Flow, len(w.flows))
@@ -364,31 +391,30 @@ func (w *World) Clone() *World {
 			// Copy any non-nil Attrs map: MoveService writes into a
 			// flow's Attrs, and even an empty map must not be aliased.
 			if f.Attrs != nil {
-				m := make(map[string]string, len(f.Attrs))
-				for k, v := range f.Attrs {
-					m[k] = v
-				}
-				slab[i].Attrs = m
+				slab[i].Attrs = maps.Clone(f.Attrs)
 			}
 			c.flows[i] = &slab[i]
 		}
 	}
-	for m := range w.BrokenMonitors {
-		c.BrokenMonitors[m] = true
-	}
-	for svc, d := range w.ServiceBaseline {
-		c.ServiceBaseline[svc] = d
-	}
-	for svc, d := range w.LatencyBaseline {
-		c.LatencyBaseline[svc] = d
-	}
-	for id, t := range w.triggers {
-		c.triggers[id] = t
-	}
-	for id, f := range w.faults {
-		c.faults[id] = f
-	}
+	maps.Copy(c.BrokenMonitors, w.BrokenMonitors)
+	maps.Copy(c.ServiceBaseline, w.ServiceBaseline)
+	maps.Copy(c.LatencyBaseline, w.LatencyBaseline)
+	maps.Copy(c.triggers, w.triggers)
+	maps.Copy(c.faults, w.faults)
 	c.Changes = w.Changes.Clone()
 	c.events = append(c.events, w.events...)
+	if !fork {
+		return c
+	}
+	c.schedule = slices.Clone(w.schedule)
+	c.report = w.report.forkTo(c.flows)
+	// Attachments register their clock hooks after the world's own
+	// schedule hook, as on a fresh build; key order keeps it
+	// deterministic when there are several.
+	for _, k := range slices.Sorted(maps.Keys(w.Attachments)) {
+		if a, ok := w.Attachments[k].(Attachment); ok {
+			c.Attachments[k] = a.ForkFor(c)
+		}
+	}
 	return c
 }

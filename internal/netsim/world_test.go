@@ -365,3 +365,45 @@ func TestFixedControllerToleratesInconsistency(t *testing.T) {
 		t.Errorf("fixed controller loss = %v, want ~0", loss)
 	}
 }
+
+// countingAttachment records the fork it follows into.
+type countingAttachment struct{ forks int }
+
+func (a *countingAttachment) ForkFor(*World) any { return &countingAttachment{forks: a.forks + 1} }
+
+func TestWorldForkIsComplete(t *testing.T) {
+	w := buildBackboneWorld()
+	w.Report()
+	w.Attachments["counting"] = &countingAttachment{}
+	w.Attachments["opaque"] = 7
+	fired := 0
+	w.ScheduleAt(time.Hour, func(*World) { fired++ })
+	w.Net.Share()
+	_, m0 := w.Net.RouteCacheStats()
+
+	f := w.Fork()
+	if f.Report() == w.Report() || len(f.Report().FlowStats) != len(w.Flows()) {
+		t.Fatal("fork should carry its own copy of the report")
+	}
+	for i, fs := range f.Report().FlowStats {
+		if fs.Flow != f.Flows()[i] {
+			t.Fatalf("fork report flow %d points at the template's flow", i)
+		}
+	}
+	if _, m := f.Net.RouteCacheStats(); m != m0 {
+		t.Fatalf("fork recomputed on first read: misses %d, want %d", m, m0)
+	}
+	if a, ok := f.Attachments["counting"].(*countingAttachment); !ok || a.forks != 1 {
+		t.Fatalf("Attachment not forked: %#v", f.Attachments["counting"])
+	}
+	if _, ok := f.Attachments["opaque"]; ok {
+		t.Fatal("an attachment without ForkFor should be dropped")
+	}
+	if c := w.Clone(); len(c.Attachments) != 0 {
+		t.Fatal("clones inherit no attachments")
+	}
+	f.Clock.Advance(2 * time.Hour)
+	if fired != 1 || w.Clock.Now() != 0 {
+		t.Fatalf("scheduled event fired %d times; template clock %v", fired, w.Clock.Now())
+	}
+}

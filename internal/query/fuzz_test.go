@@ -1,7 +1,6 @@
 package query
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/scenarios"
@@ -17,7 +16,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("links where")
 	f.Add("limit limit limit")
 	f.Add("")
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(1)))
+	w := scenarios.StandardWorld()
 	f.Fuzz(func(t *testing.T, text string) {
 		q, err := Parse(text)
 		if err != nil {

@@ -123,7 +123,7 @@ func TestExecuteLinksHot(t *testing.T) {
 func TestExecuteDevicesAndServices(t *testing.T) {
 	t.Parallel()
 	w := world(t)
-	w.Net.Node("us-east-spine-0").Healthy = false
+	w.Net.MutNode("us-east-spine-0").Healthy = false
 	w.Invalidate()
 	q, _ := Parse("devices where healthy = false")
 	rows, err := Execute(q, w)

@@ -48,7 +48,7 @@ func TestWhatIfPredictsResidualLatency(t *testing.T) {
 // ratio for a harmless plan is ~1.
 func TestWhatIfLatencyRatioOnHealthyWorld(t *testing.T) {
 	t.Parallel()
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(2)))
+	w := scenarios.StandardWorld()
 	rep := (&Assessor{}).AssessPlan(w, mitigation.Plan{Actions: []mitigation.Action{
 		{Kind: mitigation.Escalate, Target: "SWAT"},
 	}})

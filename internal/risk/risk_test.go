@@ -38,7 +38,7 @@ func TestAssessHarmfulPlanFlagged(t *testing.T) {
 	t.Parallel()
 	// On a healthy world, forcing B4 failed overloads B2: a mitigation
 	// that *causes* an incident.
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(2)))
+	w := scenarios.StandardWorld()
 	a := &Assessor{}
 	rep := a.AssessPlan(w, mitigation.Plan{Actions: []mitigation.Action{
 		{Kind: mitigation.OverrideWAN, Target: "B4", Param: "failed"},
@@ -65,7 +65,7 @@ func TestAssessIsolationBlastRadius(t *testing.T) {
 	t.Parallel()
 	// Isolating a ToR blackholes its hosts: the what-if engine must see
 	// the new unroutable service before the OCE pulls the trigger.
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(3)))
+	w := scenarios.StandardWorld()
 	a := &Assessor{}
 	rep := a.AssessPlan(w, mitigation.Plan{Actions: []mitigation.Action{
 		{Kind: mitigation.IsolateDevice, Target: "us-east-tor-p0-0"},
@@ -77,7 +77,7 @@ func TestAssessIsolationBlastRadius(t *testing.T) {
 
 func TestAssessHallucinatedTargetIsMaxRisk(t *testing.T) {
 	t.Parallel()
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(4)))
+	w := scenarios.StandardWorld()
 	a := &Assessor{}
 	rep := a.AssessPlan(w, mitigation.Plan{Actions: []mitigation.Action{
 		{Kind: mitigation.IsolateLink, Target: "ghost-link-from-hallucination"},
@@ -89,7 +89,7 @@ func TestAssessHallucinatedTargetIsMaxRisk(t *testing.T) {
 
 func TestAssessNeutralPlan(t *testing.T) {
 	t.Parallel()
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(5)))
+	w := scenarios.StandardWorld()
 	a := &Assessor{}
 	rep := a.AssessPlan(w, mitigation.Plan{Actions: []mitigation.Action{
 		{Kind: mitigation.Escalate, Target: "SWAT"},
@@ -163,7 +163,7 @@ func TestCombinedCatchesHallucinatedUnderestimate(t *testing.T) {
 	t.Parallel()
 	// The LLM understates risk (hallucination); the quantitative view
 	// must dominate. This is the paper's argument for merging views.
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(7)))
+	w := scenarios.StandardWorld()
 	quant := (&Assessor{}).AssessPlan(w, mitigation.Plan{Actions: []mitigation.Action{
 		{Kind: mitigation.OverrideWAN, Target: "B4", Param: "failed"},
 	}})

@@ -32,7 +32,7 @@ func (s *DeviceFailure) RootCauseClass() string { return kb.CDeviceDown }
 
 // Build implements Scenario.
 func (s *DeviceFailure) Build(rng *rand.Rand) *Instance {
-	w := StandardWorld(rng)
+	w := StandardWorld()
 	region := pick(rng, regions)
 	var target netsim.NodeID
 	if rng.Intn(2) == 0 {
@@ -70,7 +70,7 @@ func (s *GrayLink) RootCauseClass() string { return kb.CLinkCorruption }
 
 // Build implements Scenario.
 func (s *GrayLink) Build(rng *rand.Rand) *Instance {
-	w := StandardWorld(rng)
+	w := StandardWorld()
 	region := pick(rng, regions)
 	pod := rng.Intn(3)
 	lid := netsim.MakeLinkID(
@@ -108,7 +108,7 @@ func (s *Congestion) RootCauseClass() string { return kb.CTrafficSurge }
 
 // Build implements Scenario.
 func (s *Congestion) Build(rng *rand.Rand) *Instance {
-	w := StandardWorld(rng)
+	w := StandardWorld()
 	factor := 1.9 + 0.4*rng.Float64()
 	fault := &netsim.TrafficSurgeFault{Service: "bulk-transfer", Factor: factor}
 	w.Inject(fault)
@@ -140,7 +140,7 @@ func (s *FalseAlarm) RootCauseClass() string { return kb.CMonitorFalseAlarm }
 
 // Build implements Scenario.
 func (s *FalseAlarm) Build(rng *rand.Rand) *Instance {
-	w := StandardWorld(rng)
+	w := StandardWorld()
 	fault := &netsim.MonitorBrokenFault{Monitor: telemetry.MonitorPingMesh}
 	w.Inject(fault)
 
@@ -235,7 +235,7 @@ func (s *Cascade) RootCauseClass() string {
 
 // Build implements Scenario.
 func (s *Cascade) Build(rng *rand.Rand) *Instance {
-	w := StandardWorld(rng)
+	w := StandardWorld()
 	truth := &incident.GroundTruth{}
 	overrideMitigation := []mitigation.Action{{Kind: mitigation.OverrideWAN, Target: "B4", Param: "healthy"}}
 
@@ -303,7 +303,7 @@ func (s *NovelProtocol) RootCauseClass() string { return kb.CProtocolBug }
 
 // Build implements Scenario.
 func (s *NovelProtocol) Build(rng *rand.Rand) *Instance {
-	w := StandardWorld(rng)
+	w := StandardWorld()
 	// The rollout happened weeks before the incident.
 	for _, nd := range w.Net.Nodes() {
 		if nd.WANName == "B4" {
@@ -391,7 +391,7 @@ func (s *MaintenanceOverlap) RootCauseClass() string { return kb.CMaintenance }
 
 // Build implements Scenario.
 func (s *MaintenanceOverlap) Build(rng *rand.Rand) *Instance {
-	w := StandardWorld(rng)
+	w := StandardWorld()
 	// All direct B4 links between two regions (2 routers on each side).
 	pairs := [][2]string{{"us-east", "us-west"}, {"us-east", "eu-north"}, {"us-west", "eu-north"}}
 	pr := pairs[rng.Intn(len(pairs))]
@@ -449,7 +449,7 @@ const (
 
 // Build implements Scenario.
 func (s *GrayLinkFlapping) Build(rng *rand.Rand) *Instance {
-	w := StandardWorld(rng)
+	w := StandardWorld()
 	region := pick(rng, regions)
 	pod := rng.Intn(3)
 	lid := netsim.MakeLinkID(

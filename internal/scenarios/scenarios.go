@@ -12,6 +12,8 @@ package scenarios
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/incident"
@@ -50,12 +52,51 @@ func (in *Instance) Succeeded(applied mitigation.Plan) bool {
 	return v.Mitigated()
 }
 
-// StandardWorld builds the repository's canonical deployment: three
+// StandardWorld returns the repository's canonical deployment: three
 // regions of Clos fabric, the B2/B4 dual WAN with a (buggy, as shipped)
 // traffic controller, healthy prefix announcements, and a service mix —
 // inter-region bulk-transfer, per-region web meshes, storage replication,
 // and a latency-sensitive directconnect customer tunnel.
-func StandardWorld(rng *rand.Rand) *netsim.World {
+//
+// The world is built once per process (per route-cache setting, since
+// the cache's contents and counters depend on it) and every call
+// returns an independent fork of that template, observationally
+// identical to a fresh build (see netsim.World.Fork).
+func StandardWorld() *netsim.World {
+	if freshWorlds.Load() {
+		return buildStandardWorld()
+	}
+	return standardTemplate().Fork()
+}
+
+// standardTemplate returns the template for the current route-cache
+// setting, building it on first use. It is shared before anyone forks
+// it, so forks only read it.
+func standardTemplate() *netsim.World {
+	t := &standardTemplates[0]
+	if netsim.RouteCacheEnabled() {
+		t = &standardTemplates[1]
+	}
+	t.once.Do(func() {
+		t.w = buildStandardWorld()
+		t.w.Net.Share()
+	})
+	return t.w
+}
+
+// standardTemplates holds the standard world template per route-cache
+// setting (index 1: cache on). Templates are never mutated once built.
+var standardTemplates [2]struct {
+	once sync.Once
+	w    *netsim.World
+}
+
+// freshWorlds makes StandardWorld build from scratch instead of
+// forking; only the fork-versus-fresh differential tests set it.
+var freshWorlds atomic.Bool
+
+// buildStandardWorld builds the standard world from scratch.
+func buildStandardWorld() *netsim.World {
 	n := netsim.NewNetwork()
 	bb := netsim.BuildBackbone(n, netsim.DefaultBackboneConfig())
 	ctlNode := n.AddNode(netsim.Node{ID: "traffic-controller", Kind: netsim.KindController, Region: "us-east", Pod: -1})
@@ -109,7 +150,6 @@ func StandardWorld(rng *rand.Rand) *netsim.World {
 
 	w.SnapshotBaselines()
 	telemetry.AttachRecorder(w, 2*time.Minute)
-	_ = rng // reserved for future demand jitter
 	return w
 }
 

@@ -13,7 +13,7 @@ import (
 
 func TestStandardWorldHealthy(t *testing.T) {
 	t.Parallel()
-	w := StandardWorld(rand.New(rand.NewSource(1)))
+	w := StandardWorld()
 	rep := w.Recompute()
 	if loss := rep.OverallLossRate(); loss > 0.001 {
 		t.Fatalf("standard world loss = %v", loss)

@@ -38,7 +38,7 @@ func TestLatencyAlertQuietWhenBaselinesMissing(t *testing.T) {
 	t.Parallel()
 	// Worlds without snapshotted baselines (e.g. bare test fixtures)
 	// must not fire spurious latency alerts.
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(2)))
+	w := scenarios.StandardWorld()
 	w.LatencyBaseline = map[string]float64{}
 	if alerts := telemetry.NewAlertEngine(w).Evaluate(); len(alerts) != 0 {
 		t.Fatalf("alerts without baselines: %v", alerts)
@@ -47,7 +47,7 @@ func TestLatencyAlertQuietWhenBaselinesMissing(t *testing.T) {
 
 func TestLatencyBaselineSurvivesClone(t *testing.T) {
 	t.Parallel()
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(3)))
+	w := scenarios.StandardWorld()
 	if len(w.LatencyBaseline) == 0 {
 		t.Fatal("standard world has no latency baselines")
 	}
@@ -63,7 +63,7 @@ func TestLatencyBaselineSurvivesClone(t *testing.T) {
 
 func TestHealthyWorldWithinLatencyBaseline(t *testing.T) {
 	t.Parallel()
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(4)))
+	w := scenarios.StandardWorld()
 	rep := w.Report()
 	for svc, ss := range rep.ServiceStats {
 		base := w.LatencyBaseline[svc]
@@ -99,7 +99,7 @@ func TestRecorderSamplesAndTrends(t *testing.T) {
 
 func TestRecorderTrendFlatOnHealthyWorld(t *testing.T) {
 	t.Parallel()
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(6)))
+	w := scenarios.StandardWorld()
 	rec := telemetry.RecorderOf(w)
 	for i := 0; i < 30; i++ {
 		w.Clock.Advance(2 * time.Minute)
@@ -115,7 +115,7 @@ func TestRecorderTrendFlatOnHealthyWorld(t *testing.T) {
 
 func TestRecorderRangeWindow(t *testing.T) {
 	t.Parallel()
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(7)))
+	w := scenarios.StandardWorld()
 	rec := telemetry.RecorderOf(w)
 	for i := 0; i < 10; i++ {
 		w.Clock.Advance(2 * time.Minute)

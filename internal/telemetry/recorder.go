@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -37,13 +38,31 @@ func NewRecorder(w *netsim.World, interval time.Duration) *Recorder {
 		interval = 2 * time.Minute
 	}
 	r := &Recorder{World: w, Interval: interval, last: -interval, series: map[string][]Point{}}
-	w.Clock.OnAdvance(func(now time.Duration) {
+	r.watch()
+	r.sample(w.Clock.Now())
+	return r
+}
+
+// watch registers the sampling hook on the world's clock.
+func (r *Recorder) watch() {
+	r.World.Clock.OnAdvance(func(now time.Duration) {
 		if now-r.last >= r.Interval {
 			r.sample(now)
 		}
 	})
-	r.sample(w.Clock.Now())
-	return r
+}
+
+// ForkFor implements netsim.Attachment: the fork's recorder carries the
+// samples taken so far and samples the fork's clock from then on,
+// without taking a new sample. Each series is clipped to its length, so
+// appends on either side never write the other's backing array.
+func (r *Recorder) ForkFor(w *netsim.World) any {
+	c := &Recorder{World: w, Interval: r.Interval, last: r.last, series: make(map[string][]Point, len(r.series))}
+	for k, s := range r.series {
+		c.series[k] = slices.Clip(s)
+	}
+	c.watch()
+	return c
 }
 
 func (r *Recorder) sample(now time.Duration) {

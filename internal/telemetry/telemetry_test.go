@@ -134,7 +134,7 @@ func TestDeviceHealthMonitor(t *testing.T) {
 		t.Fatalf("healthy world reports %d unhealthy", len(got))
 	}
 	w.Inject(&netsim.DeviceDownFault{Node: "us-east-spine-1"})
-	w.Net.Node("us-west-tor-p0-0").Isolated = true
+	w.Net.MutNode("us-west-tor-p0-0").Isolated = true
 	got := m.Unhealthy()
 	if len(got) != 2 {
 		t.Fatalf("got %d unhealthy, want 2", len(got))

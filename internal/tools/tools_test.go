@@ -89,7 +89,7 @@ func TestPingMeshToolDetectsCascade(t *testing.T) {
 		t.Fatalf("findings = %v", res.Findings)
 	}
 	// Healthy world says false.
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(9)))
+	w := scenarios.StandardWorld()
 	res, _ = NewPingMeshTool().Invoke(w, nil)
 	if !hasFinding(res, kb.CPacketLoss+"=false") {
 		t.Fatalf("healthy findings = %v", res.Findings)
@@ -180,7 +180,7 @@ func TestControllerAndPrefixToolsOnCascade(t *testing.T) {
 		t.Fatalf("prefix conflict missed: %v", res.Findings)
 	}
 
-	healthy := scenarios.StandardWorld(rand.New(rand.NewSource(10)))
+	healthy := scenarios.StandardWorld()
 	res, _ = NewControllerStateTool().Invoke(healthy, nil)
 	if !hasFinding(res, kb.CWANFailover+"=false") {
 		t.Fatalf("healthy controller: %v", res.Findings)
@@ -205,7 +205,7 @@ func TestRecentChangesToolCrossChecks(t *testing.T) {
 	}
 
 	// A push with no live inconsistency must NOT be flagged.
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(11)))
+	w := scenarios.StandardWorld()
 	w.Changes.Add(netsim.ChangeRecord{Team: "x", Kind: netsim.ChangeConfigPush, Description: "benign"})
 	res, _ = NewRecentChangesTool().Invoke(w, nil)
 	if hasFinding(res, kb.CConfigInconsistency+"=true") {
@@ -283,7 +283,7 @@ func TestAskCustomerToolRevealsPattern(t *testing.T) {
 
 func TestBrokenCollectorSurfacesAsUnavailable(t *testing.T) {
 	t.Parallel()
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(13)))
+	w := scenarios.StandardWorld()
 	w.Inject(&netsim.MonitorBrokenFault{Monitor: "linkutil"})
 	res, _ := NewLinkUtilTool().Invoke(w, nil)
 	if !hasFinding(res, "linkutil_unavailable=true") {
@@ -319,7 +319,7 @@ func TestLossHistoryToolClassifiesFlap(t *testing.T) {
 
 func TestLossHistoryToolQuietWorld(t *testing.T) {
 	t.Parallel()
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(22)))
+	w := scenarios.StandardWorld()
 	for i := 0; i < 20; i++ {
 		w.Clock.Advance(2 * time.Minute)
 	}
@@ -348,7 +348,7 @@ func TestLossHistoryToolWithoutRecorder(t *testing.T) {
 
 func TestSyslogToolReportsRestoredLinks(t *testing.T) {
 	t.Parallel()
-	w := scenarios.StandardWorld(rand.New(rand.NewSource(30)))
+	w := scenarios.StandardWorld()
 	lid := netsim.MakeLinkID("us-east-tor-p0-0", "us-east-agg-p0-0")
 	w.Inject(&netsim.LinkDownFault{Link: lid})
 	w.Resolve("link-down:" + string(lid)) // repaired before anyone looked
