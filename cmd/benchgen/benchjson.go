@@ -28,13 +28,16 @@ import (
 	"repro/internal/embed"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
+	"repro/internal/gateway"
 	"repro/internal/harness"
 	"repro/internal/incident"
+	"repro/internal/journal"
 	"repro/internal/kb"
 	"repro/internal/lake"
 	"repro/internal/llm"
 	"repro/internal/mitigation"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/randsrc"
 	"repro/internal/replayer"
 	"repro/internal/risk"
@@ -57,6 +60,50 @@ type flatRunner struct{}
 func (flatRunner) Name() string { return "flat" }
 func (flatRunner) Run(in *scenarios.Instance, seed int64) harness.Result {
 	return harness.Result{Scenario: in.Scenario.Name(), Mitigated: true, Correct: true, TTM: 45 * time.Minute}
+}
+
+// writeSessionLake fills a lake in dir with n entries the way the
+// gateway ingests them: one observed helper session per entry, cycling
+// through every scenario.
+func writeSessionLake(dir string, runner *harness.HelperRunner, n int) error {
+	l, _, err := lake.Open(dir)
+	if err != nil {
+		return err
+	}
+	all := scenarios.All()
+	for i := 0; i < n; i++ {
+		id, seed := fmt.Sprintf("inc-%d", i+1), int64(i+1)
+		in := all[i%len(all)].Build(randsrc.New(seed))
+		rec := &obs.Recorder{Session: "gw/" + id}
+		res := runner.RunObserved(in, seed, rec)
+		if _, err := l.Append(lake.NewEntry(id, runner.Name(), in, res, seed, rec.Events)); err != nil {
+			l.Close()
+			return err
+		}
+	}
+	return l.Close()
+}
+
+// crashedJournal is the replay of a store that crashed with n accepted
+// incidents across the regions, every seventh resolved by its caller.
+func crashedJournal(n int, regions []string) journal.ReplayResult {
+	all := scenarios.All()
+	var recs []journal.Record
+	for i := 0; i < n; i++ {
+		sev := 1 + i%3
+		recs = append(recs, journal.Record{
+			V: journal.Version, Kind: journal.KindAccepted, ID: fmt.Sprintf("inc-%d", i+1),
+			AtMinutes: float64(i) * 2.5, OpenedAtMinutes: float64(i) * 2.5,
+			Scenario: all[i%len(all)].Name(), Severity: &sev, Region: regions[i%len(regions)],
+		})
+	}
+	for i := 0; i < n; i += 7 {
+		recs = append(recs, journal.Record{
+			V: journal.Version, Kind: journal.KindResolved, ID: fmt.Sprintf("inc-%d", i+1),
+			AtMinutes: float64(n) * 2.5, Status: "resolved",
+		})
+	}
+	return journal.ReplayResult{Records: recs}
 }
 
 // benchRecord is one benchmark's line item.
@@ -301,6 +348,43 @@ func runBenchJSON(c *cliflags.Common, path string) error {
 			panic("bench-json: lake query returned nothing")
 		}
 		return fmt.Sprintf("class stats + tag scan over %d entries", st.Entries)
+	})
+	// Boot kernels, mirroring BenchmarkLakeOpen (internal/lake) and
+	// BenchmarkGatewayRecover (internal/gateway).
+	openDir, err := os.MkdirTemp("", "bench-lake-open-")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(openDir)
+	if err := writeSessionLake(openDir, helper, 120); err != nil {
+		return err
+	}
+	add("LakeOpen", 10, func(int) string {
+		l, rr, err := lake.Open(openDir)
+		if err != nil || rr.Entries != 120 {
+			panic(fmt.Errorf("bench-json: lake open = %+v, %v", rr, err))
+		}
+		l.Close()
+		return "reopen a lake of 120 helper-session entries, events kept raw"
+	})
+	bootRegions := []string{"us-east", "eu-west", "ap-south"}
+	bootJournal := crashedJournal(105, bootRegions)
+	add("GatewayRecover", 3, func(int) string {
+		sink := obs.NewSink()
+		gw := gateway.NewServer(gateway.Config{
+			Clock: gateway.NewSimClock(), Runner: helper, Seed: 7, Sink: sink,
+			Sched: fleet.NewSharded(fleet.ShardedLiveConfig{
+				Regions: bootRegions, OCEs: 3, Policy: fleet.SeverityAging,
+				QueueLimit: 8, AgingStep: 30 * time.Minute, Steal: true,
+				Obs: sink, RunnerName: helper.Name(),
+			}),
+		})
+		defer gw.Shutdown()
+		st, err := gw.Recover(bootJournal)
+		if err != nil || st.Reoffered != 90 {
+			panic(fmt.Errorf("bench-json: recover = %+v, %v", st, err))
+		}
+		return "boot: re-run and re-offer 90 unresolved incidents over 3 regions"
 	})
 
 	data, err := json.MarshalIndent(&out, "", "  ")

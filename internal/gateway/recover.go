@@ -7,7 +7,13 @@ package gateway
 // re-executes each unresolved incident's session from its derived seed
 // (DeriveSeed(base, id) — byte-identical to the pre-crash run), and
 // re-offers the arrivals into the live scheduler before advancing the
-// watermark to the journal's high-water mark. Offering everything first
+// watermark to the journal's high-water mark. The sessions re-run in
+// parallel on the trial pool, one per GOMAXPROCS worker: each is
+// self-contained (its own seed, world and event recorder), and the
+// Runner is already safe for concurrent use because live creates run
+// sessions concurrently. The arrivals are then offered one by one in
+// journal order, so the scheduler sees exactly the serial replay's
+// input whatever the worker count. Offering everything first
 // and advancing once means the engine replays admissions, dispatches
 // and sheds in (At, ID) order: the same deterministic schedule the
 // pre-crash process was executing, with each incident holding exactly
@@ -28,6 +34,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/randsrc"
 	"repro/internal/scenarios"
 )
@@ -127,33 +134,58 @@ func (s *Server) Recover(rr journal.ReplayResult) (RecoverStats, error) {
 	}
 	s.mu.Unlock()
 
+	var rerun []string
 	for _, id := range order {
-		g := ghosts[id]
-		if g.resolved {
+		if ghosts[id].resolved {
 			stats.Resolved++
-			continue
-		}
-		seed := DeriveSeed(s.cfg.Seed, id)
-		in := scenarios.ByName(g.scenario).Build(randsrc.New(seed))
-		in.Incident.Severity = g.severity
-		in.Incident.ID = id
-		var rec *obs.Recorder
-		var res harness.Result
-		if or, observed := s.cfg.Runner.(harness.ObservedRunner); observed && s.cfg.Sink != nil {
-			rec = obs.AcquireRecorder("gw/" + id)
-			res = or.RunObserved(in, seed, rec)
 		} else {
-			res = s.cfg.Runner.Run(in, seed)
+			rerun = append(rerun, id)
 		}
-		err := s.cfg.Sched.Offer(fleet.LiveArrival{
-			ID: id, At: time.Duration(g.rec.OpenedAtMinutes * float64(time.Minute)),
-			Scenario: g.scenario, Region: g.rec.Region, Severity: in.Incident.Severity,
-			Result: res, Events: rec,
-		})
-		if err != nil {
+	}
+	// Recorders are acquired up front, in journal order, so a session
+	// that panics cannot strand one; every recorder not yet handed to
+	// the scheduler is released on the way out of an error.
+	or, observed := s.cfg.Runner.(harness.ObservedRunner)
+	observed = observed && s.cfg.Sink != nil
+	recs := make([]*obs.Recorder, len(rerun))
+	if observed {
+		for i, id := range rerun {
+			recs[i] = obs.AcquireRecorder("gw/" + id)
+		}
+	}
+	release := func(from int) {
+		for _, rec := range recs[from:] {
 			if rec != nil {
 				rec.Release()
 			}
+		}
+	}
+	results := parallel.RunTrials(len(rerun), 0, 0, func(_ int64, i int) harness.Result {
+		id := rerun[i]
+		seed := DeriveSeed(s.cfg.Seed, id)
+		in := scenarios.ByName(ghosts[id].scenario).Build(randsrc.New(seed))
+		in.Incident.Severity = ghosts[id].severity
+		in.Incident.ID = id
+		if observed {
+			return or.RunObserved(in, seed, recs[i])
+		}
+		return s.cfg.Runner.Run(in, seed)
+	})
+	for i, r := range results {
+		if r.Err != nil {
+			release(0)
+			return stats, fmt.Errorf("gateway: recover %s: %w", rerun[i], r.Err)
+		}
+	}
+	for i, id := range rerun {
+		g := ghosts[id]
+		err := s.cfg.Sched.Offer(fleet.LiveArrival{
+			ID: id, At: time.Duration(g.rec.OpenedAtMinutes * float64(time.Minute)),
+			Scenario: g.scenario, Region: g.rec.Region, Severity: g.severity,
+			Result: results[i].Value, Events: recs[i],
+		})
+		if err != nil {
+			release(i)
 			return stats, fmt.Errorf("gateway: recover %s: %w", id, err)
 		}
 		stats.Reoffered++

@@ -15,6 +15,7 @@ package journal
 // users), so line framing stays unambiguous.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -126,7 +127,7 @@ func OpenFrameFile(dir, name string, accept func(payload []byte) bool) (ff *Fram
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	data, err := io.ReadAll(f)
+	data, err := readSized(f)
 	if err != nil {
 		f.Close()
 		return nil, 0, 0, fmt.Errorf("read: %w", err)
@@ -147,6 +148,21 @@ func OpenFrameFile(dir, name string, accept func(payload []byte) bool) (ff *Fram
 		d.Close()
 	}
 	return &FrameFile{f: f, path: path}, int64(good), dropped, nil
+}
+
+// readSized reads f to EOF into one buffer sized from Stat, instead of
+// letting io.ReadAll grow one by doubling (about three times the file
+// allocated on a large log). The MinRead headroom lets the final EOF
+// read land without a regrow; a file that grew since the Stat still
+// reads in full.
+func readSized(f *os.File) ([]byte, error) {
+	size := 0
+	if fi, err := f.Stat(); err == nil {
+		size = int(fi.Size())
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(f)
+	return buf.Bytes(), err
 }
 
 // Append frames, writes, and fsyncs one payload, returning the bytes

@@ -12,6 +12,14 @@
 // before acknowledge, torn tails truncated on open. A lake Append that
 // returned nil survives kill -9.
 //
+// Open decodes each entry's header fields but keeps its event stream as
+// the raw JSON array: boot only needs the headers for the derived
+// views, and the events are most of every entry's bytes. Get, Entries
+// and ByTag decode the events on read and return exactly what an eager
+// decode would; the decoded events are not kept, so a reopened lake
+// holds only the raw bytes. Entries added by Append keep the events
+// they arrived with.
+//
 // Derived views are maintained incrementally on ingest and rebuilt
 // from the log on open: per-scenario-class TTM statistics, mitigation
 // frequency, and a tag index. The promotion gate that closes the
@@ -240,12 +248,81 @@ func (a *classAgg) add(e Entry) {
 	}
 }
 
+// stored is one in-memory entry. It is also the shape Open decodes a
+// payload into: the embedded Entry takes every header field through its
+// own tags, and the shallower Events field shadows Entry.Events, so the
+// event stream stays raw. Entries added by Append leave Events nil and
+// keep their decoded stream in Entry.Events.
+type stored struct {
+	Entry
+	Events json.RawMessage `json:"events,omitempty"`
+}
+
+// entry returns the stored entry with its event stream decoded. The
+// raw bytes passed objectArray at Open, so only an ill-typed field
+// inside an event object can fail here; such a stream reads back as no
+// events rather than a partial one.
+func (s stored) entry() Entry {
+	e := s.Entry
+	if s.Events != nil && json.Unmarshal(s.Events, &e.Events) != nil {
+		e.Events = nil
+	}
+	return e
+}
+
+// objectArray reports whether raw, a syntactically valid JSON value or
+// nothing, is absent, null, or an array whose elements are each an
+// object or null: every shape an eager decode into []obs.Event
+// accepts, short of the field types inside each object. Open checks it
+// so a CRC-clean frame with a malformed event stream still truncates
+// the log there. Ill-typed fields inside event objects are the one
+// case Open no longer rejects; no writer produces them, since Append
+// encodes typed obs.Events.
+func objectArray(raw []byte) bool {
+	if len(raw) == 0 || string(raw) == "null" {
+		return true
+	}
+	if raw[0] != '[' {
+		return false
+	}
+	depth, elem := 0, false // elem: the next byte at depth 1 starts an element
+	for i := 0; i < len(raw); i++ {
+		c := raw[i]
+		if elem {
+			switch c {
+			case ' ', '\t', '\n', '\r':
+				continue
+			case '{', 'n', ']':
+				elem = false
+			default:
+				return false
+			}
+		}
+		switch c {
+		case '"':
+			for i++; raw[i] != '"'; i++ {
+				if raw[i] == '\\' {
+					i++
+				}
+			}
+		case '[', '{':
+			depth++
+			elem = depth == 1
+		case ']', '}':
+			depth--
+		case ',':
+			elem = depth == 1
+		}
+	}
+	return true
+}
+
 // Lake is the open data lake: the append handle plus the in-memory
 // entry set and derived views. Safe for concurrent use.
 type Lake struct {
 	mu      sync.Mutex
 	ff      *journal.FrameFile
-	entries []Entry
+	entries []stored
 	byID    map[string]int
 
 	classes     map[string]*classAgg
@@ -266,25 +343,21 @@ func Open(dir string) (*Lake, RecoverResult, error) {
 		mitigations: map[string]int{},
 		tagIndex:    map[string][]string{},
 	}
-	var replayed []Entry
 	ff, good, dropped, err := OpenFrameLog(dir, func(payload []byte) bool {
-		var e Entry
-		if err := json.Unmarshal(payload, &e); err != nil {
+		var s stored
+		if err := json.Unmarshal(payload, &s); err != nil {
 			return false
 		}
-		if e.V > Version || e.ID == "" {
+		if s.V > Version || s.ID == "" || !objectArray(s.Events) {
 			return false
 		}
-		replayed = append(replayed, e)
+		l.absorb(s)
 		return true
 	})
 	if err != nil {
 		return nil, RecoverResult{}, fmt.Errorf("lake: %w", err)
 	}
 	l.ff = ff
-	for _, e := range replayed {
-		l.absorb(e)
-	}
 	return l, RecoverResult{Entries: len(l.entries), Dropped: dropped, Bytes: good}, nil
 }
 
@@ -297,7 +370,7 @@ func OpenFrameLog(dir string, accept func(payload []byte) bool) (*journal.FrameF
 
 // absorb inserts e into the in-memory set and views. Caller holds no
 // lock during Open; Append holds l.mu.
-func (l *Lake) absorb(e Entry) {
+func (l *Lake) absorb(e stored) {
 	if i, ok := l.byID[e.ID]; ok {
 		// Last-write-wins replace: views are rebuilt from scratch since
 		// the displaced entry's contributions must be withdrawn.
@@ -311,13 +384,13 @@ func (l *Lake) absorb(e Entry) {
 }
 
 // index adds one entry's view contributions.
-func (l *Lake) index(e Entry) {
+func (l *Lake) index(e stored) {
 	agg := l.classes[e.Scenario]
 	if agg == nil {
 		agg = &classAgg{}
 		l.classes[e.Scenario] = agg
 	}
-	agg.add(e)
+	agg.add(e.Entry)
 	for _, a := range e.Applied {
 		l.mitigations[a.String()]++
 	}
@@ -357,7 +430,7 @@ func (l *Lake) Append(e Entry) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("lake: %w", err)
 	}
-	l.absorb(e)
+	l.absorb(stored{Entry: e})
 	return n, nil
 }
 
@@ -371,19 +444,34 @@ func (l *Lake) Len() int {
 // Get returns the entry with the given ID.
 func (l *Lake) Get(id string) (Entry, bool) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	i, ok := l.byID[id]
-	if !ok {
-		return Entry{}, false
+	var s stored
+	if ok {
+		s = l.entries[i]
 	}
-	return l.entries[i], true
+	l.mu.Unlock()
+	return s.entry(), ok
 }
 
 // Entries returns every entry in append order.
 func (l *Lake) Entries() []Entry {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Entry(nil), l.entries...)
+	all := append([]stored(nil), l.entries...)
+	l.mu.Unlock()
+	return decodeAll(all)
+}
+
+// decodeAll decodes each stored entry's events, outside the lock: the
+// raw bytes are never written after Open. A nil input stays nil.
+func decodeAll(ss []stored) []Entry {
+	if ss == nil {
+		return nil
+	}
+	out := make([]Entry, len(ss))
+	for i, s := range ss {
+		out[i] = s.entry()
+	}
+	return out
 }
 
 // Stats returns the aggregate view, classes sorted by scenario name.
@@ -441,13 +529,13 @@ func (l *Lake) Tags() []TagCount {
 // ByTag returns the entries carrying the tag, in append order.
 func (l *Lake) ByTag(tag string) []Entry {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	ids := l.tagIndex[tag]
-	out := make([]Entry, 0, len(ids))
+	tagged := make([]stored, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, l.entries[l.byID[id]])
+		tagged = append(tagged, l.entries[l.byID[id]])
 	}
-	return out
+	l.mu.Unlock()
+	return decodeAll(tagged)
 }
 
 // Path returns the lake log's file path.
