@@ -97,7 +97,7 @@ func diffBenchFiles(oldF, newF *benchFile) (rows []benchDiffRow, regressed []str
 // code.
 func writeBenchDiff(w io.Writer, oldPath, newPath string, rows []benchDiffRow) {
 	fmt.Fprintf(w, "bench-diff: %s -> %s (gate: headline ns/op ratio <= %.2f)\n\n", oldPath, newPath, benchRegressLimit)
-	fmt.Fprintf(w, "%-24s %14s %14s %8s %10s %10s %8s  %s\n",
+	fmt.Fprintf(w, "%-34s %14s %14s %8s %10s %10s %8s  %s\n",
 		"name", "old ns/op", "new ns/op", "ratio", "old allocs", "new allocs", "ratio", "gate")
 	for _, r := range rows {
 		gate := "-"
@@ -111,7 +111,7 @@ func writeBenchDiff(w io.Writer, oldPath, newPath string, rows []benchDiffRow) {
 				side = "new only"
 				ns, allocs = r.NewNs, r.NewAllocs
 			}
-			fmt.Fprintf(w, "%-24s %14d %14s %8s %10d %10s %8s  %s (%s)\n",
+			fmt.Fprintf(w, "%-34s %14d %14s %8s %10d %10s %8s  %s (%s)\n",
 				r.Name, ns, "-", "-", allocs, "-", "-", gate, side)
 			continue
 		}
@@ -119,7 +119,7 @@ func writeBenchDiff(w io.Writer, oldPath, newPath string, rows []benchDiffRow) {
 		if r.Headline && r.NsRatio > benchRegressLimit {
 			verdict = "  REGRESSED"
 		}
-		fmt.Fprintf(w, "%-24s %14d %14d %7.2fx %10d %10d %7.2fx  %s%s\n",
+		fmt.Fprintf(w, "%-34s %14d %14d %7.2fx %10d %10d %7.2fx  %s%s\n",
 			r.Name, r.OldNs, r.NewNs, r.NsRatio, r.OldAllocs, r.NewAllocs, r.AllocRatio, gate, verdict)
 	}
 }

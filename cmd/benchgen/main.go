@@ -1,5 +1,5 @@
 // Command benchgen regenerates every experiment table in DESIGN.md's
-// per-experiment index (E1-E9): the reproduction's equivalent of the
+// per-experiment index (E1-E18): the reproduction's equivalent of the
 // paper's figures and the §3 evaluation methodology.
 //
 // Usage:
@@ -12,6 +12,7 @@
 //	benchgen -exp 15         # same ladder driven end-to-end over live HTTP
 //	benchgen -exp 16         # crash-safety chaos: kill/restart + faulty clients
 //	benchgen -exp 17         # sharded multi-region fleet: storms + work stealing
+//	benchgen -exp 18         # adaptive loop over the data lake
 //	benchgen -exp e4 -trace-out events.jsonl -metrics-out metrics.prom
 //	benchgen -bench-json BENCH_$(date +%F).json           # performance snapshot
 //	benchgen -bench-json BENCH_nocache.json -nocache      # slow-path snapshot
@@ -27,14 +28,15 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/eval"
 	"repro/internal/experiments"
+	"repro/internal/kernels"
 )
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "comma-separated experiment ids (e1..e17; a bare number means the same experiment) or 'all'")
+		exp       = flag.String("exp", "all", "comma-separated experiment ids (e1..e18; a bare number means the same experiment) or 'all'")
 		trials    = flag.Int("trials", 20, "incidents per experiment cell")
 		html      = flag.String("html", "", "also write a self-contained HTML report to this path")
-		benchJSON = flag.String("bench-json", "", "run the benchmark set (E1-E14 + substrate micro-kernels) and write {name, ns/op, allocs/op, headline} records to this JSON path instead of generating tables")
+		benchJSON = flag.String("bench-json", "", "run the kernel table (E1-E18 + substrate kernels) and write {name, ns/op, allocs/op, headline} records to this JSON path instead of generating tables")
 		benchDiff = flag.Bool("bench-diff", false, "compare two -bench-json snapshots (args: OLD.json NEW.json); prints a per-kernel ns/op and allocs/op ratio table and exits nonzero when a headline kernel regresses >20%")
 	)
 	c := cliflags.Register(flag.CommandLine, 42)
@@ -56,7 +58,7 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		if err := runBenchJSON(c, *benchJSON); err != nil {
+		if err := runBenchJSON(*benchJSON, !c.NoCache, kernels.Table); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}

@@ -1,4 +1,4 @@
-// Package experiments implements the per-experiment harnesses E1-E9
+// Package experiments implements the per-experiment harnesses E1-E18
 // indexed in DESIGN.md: each regenerates one of the paper's figures or
 // §3 evaluation methodologies as a printable table, with the qualitative
 // shape the paper claims (who wins, by roughly what factor, where the
@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -642,8 +641,8 @@ func E9Sensitivity(p Params) []*eval.Table {
 	return []*eval.Table{hal, beam, win, sc}
 }
 
-// All runs every experiment and returns the tables keyed by experiment
-// id, in order.
+// Registry lists every experiment in order: its id (e1, e2, ...), a
+// one-line description, and the function that renders its tables.
 var Registry = []struct {
 	ID   string
 	Desc string
@@ -678,8 +677,6 @@ func ByID(id string) func(Params) []*eval.Table {
 	}
 	return nil
 }
-
-var _ = time.Minute
 
 // ---------------------------------------------------------------------------
 // E10 — fleet-level operations (extension): queueing under load.

@@ -229,23 +229,3 @@ func TestRecoverErrorReleasesRecorders(t *testing.T) {
 		}
 	})
 }
-
-// BenchmarkGatewayRecover boots a gateway over a crashed store's
-// journal: 105 accepted incidents across three regions, 90 of them
-// unresolved, each re-run as a helper session and re-offered.
-func BenchmarkGatewayRecover(b *testing.B) {
-	regions := []string{"us-east", "eu-west", "ap-south"}
-	rr := recoverJournal(105, regions)
-	kbase := kb.Default()
-	kb.ApplyFastpathUpdate(kbase)
-	runner := &harness.HelperRunner{Label: "assisted-helper", KBase: kbase, Config: core.DefaultConfig()}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		gw, _ := recoverServer(runner, regions)
-		stats, err := gw.Recover(rr)
-		if err != nil || stats.Reoffered != 90 {
-			b.Fatalf("Recover = %+v, %v; want 90 re-offered", stats, err)
-		}
-		gw.Shutdown()
-	}
-}

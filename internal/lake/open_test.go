@@ -249,19 +249,3 @@ func TestLakeOpenAllocs(t *testing.T) {
 		t.Fatalf("Open allocates %.1f objects per entry, want at most 60", per)
 	}
 }
-
-// BenchmarkLakeOpen reopens a lake of 120 real helper-session entries:
-// the lake's share of a boot.
-func BenchmarkLakeOpen(b *testing.B) {
-	dir := b.TempDir()
-	writeLake(b, dir, realEntries())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l, _, err := Open(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		l.Close()
-	}
-}

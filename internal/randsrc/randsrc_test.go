@@ -99,3 +99,13 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkMathRandSeed is the eager reference for the SeedRand kernel
+// (`go test -bench='Kernels/SeedRand$' .`): seed a math/rand source and
+// draw once, as a scenario Build does.
+func BenchmarkMathRandSeed(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; b.Loop(); i++ {
+		rand.New(rand.NewSource(int64(i))).Intn(100)
+	}
+}
