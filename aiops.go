@@ -106,9 +106,9 @@ const (
 )
 
 // NewSink builds an observability sink over the standard metrics
-// registry; pass it to WithObservability and export with WriteEvents /
-// WriteMetrics when the run completes.
-func NewSink() *Sink { return obs.NewSink() }
+// registry that keeps the full event log; pass it to WithObservability
+// and export with WriteEvents / WriteMetrics when the run completes.
+func NewSink() *Sink { return obs.NewLogSink() }
 
 // System bundles a deployment's knowledge, incident history and helper
 // configuration.

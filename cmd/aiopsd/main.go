@@ -123,13 +123,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// The daemon always runs a sink — /metrics and /v1/events need one
-	// — reusing the flag-allocated sink when exports were requested so
-	// shutdown exports see the live data.
-	sink := c.Sink()
-	if sink == nil {
-		sink = obs.NewSink()
-	}
+	sink := daemonSink(c)
 
 	policy := fleet.SeverityAging
 	if *fifo {
@@ -231,6 +225,19 @@ func main() {
 			len(regionList), *oces, *queue, *steal),
 		sched.DrainSharded()))
 	c.MustExport()
+}
+
+// daemonSink returns the daemon's sink. The daemon always runs one —
+// /metrics and /v1/events need it — reusing the flag-allocated sink
+// when exports were requested so shutdown exports see the live data.
+// Only -trace-out makes it keep an event log; otherwise each event is
+// counted, pushed to SSE subscribers and dropped, so the daemon's
+// memory does not grow with its event count.
+func daemonSink(c *cliflags.Common) *obs.Sink {
+	if s := c.Sink(); s != nil {
+		return s
+	}
+	return obs.NewSink()
 }
 
 // parseRegions parses the -regions flag: comma-separated names, blanks

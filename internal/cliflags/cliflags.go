@@ -91,10 +91,17 @@ func (c *Common) ApplyCaches() {
 
 // Sink returns the run's observability sink, allocated on first use —
 // or nil when neither -trace-out nor -metrics-out was given, which is
-// the signal every layer below treats as "observability off".
+// the signal every layer below treats as "observability off". Only
+// -trace-out reads the event log, so only -trace-out makes the sink
+// keep one.
 func (c *Common) Sink() *obs.Sink {
-	if c.sink == nil && (c.TraceOut != "" || c.MetricsOut != "") {
-		c.sink = obs.NewSink()
+	if c.sink == nil {
+		switch {
+		case c.TraceOut != "":
+			c.sink = obs.NewLogSink()
+		case c.MetricsOut != "":
+			c.sink = obs.NewSink()
+		}
 	}
 	return c.sink
 }

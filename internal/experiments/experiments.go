@@ -709,7 +709,8 @@ func E10FleetLoad(p Params) []*eval.Table {
 	}
 	// Each cell is a whole sub-simulation, so observability uses a
 	// private sink per cell, merged in cell order afterwards — the same
-	// absorb-in-deterministic-order contract the trial pool uses.
+	// absorb-in-deterministic-order contract the trial pool uses. A
+	// cell sink keeps an event log only when the run's sink does.
 	var cellSinks []*obs.Sink
 	if p.Obs != nil {
 		cellSinks = make([]*obs.Sink, len(cells))
@@ -724,7 +725,11 @@ func E10FleetLoad(p Params) []*eval.Table {
 		}
 		var sink *obs.Sink
 		if cellSinks != nil {
-			sink = obs.NewSink()
+			if p.Obs.KeepsLog() {
+				sink = obs.NewLogSink()
+			} else {
+				sink = obs.NewSink()
+			}
 			cellSinks[i] = sink
 		}
 		return fleetRow{arm.Name(), fleet.Simulate(fleet.Config{

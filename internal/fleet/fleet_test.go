@@ -203,7 +203,7 @@ func TestSeverityPriorityAndAging(t *testing.T) {
 // comparable byte string.
 func renderAll(t *testing.T, workers int) string {
 	t.Helper()
-	sink := obs.NewSink()
+	sink := obs.NewLogSink()
 	rep := Simulate(Config{
 		OCEs: 2, ArrivalsPerHour: 5, Incidents: 30, Seed: 21, QueueLimit: 3,
 		Workers: workers,

@@ -293,7 +293,7 @@ func TestLiveObsDeterministic(t *testing.T) {
 		// when 0), each batch in an order shuffled by seed, stepping the
 		// watermark to the batch's last arrival after each.
 		run := func(stepEvery int, seed int64) string {
-			sink := obs.NewSink()
+			sink := obs.NewLogSink()
 			cfg := l.config(2, 3)
 			cfg.Obs, cfg.RunnerName = sink, "live-test"
 			s := NewSharded(cfg)

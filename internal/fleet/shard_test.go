@@ -51,7 +51,7 @@ func regionNames(n int) []string {
 func TestShardedWorkerByteIdentity(t *testing.T) {
 	t.Parallel()
 	run := func(workers int) (string, string, string) {
-		sink := obs.NewSink()
+		sink := obs.NewLogSink()
 		rep := SimulateSharded(ShardedConfig{
 			Regions: regionNames(4), OCEs: 2, ArrivalsPerHour: 8, Incidents: 1500,
 			QueueLimit: 3, Seed: 7, Workers: workers, Steal: true,

@@ -119,8 +119,11 @@ type Config struct {
 	Runner harness.Runner
 	// Seed is the base seed per-incident session seeds derive from.
 	Seed int64
-	// Sink, when non-nil, powers GET /metrics and GET /v1/events and
-	// collects every session's event stream.
+	// Sink, when non-nil, powers GET /metrics and GET /v1/events: every
+	// session's events are absorbed into its registry and pushed to the
+	// stream's subscribers. The gateway never reads the sink's event
+	// log, so a daemon sink built by obs.NewSink keeps none; the lake is
+	// the durable home for event streams.
 	Sink *obs.Sink
 	// SimControl exposes POST /v1/sim/{advance,drain}. Enable it only
 	// with an AdvanceClock (tests, load harnesses); in wall-clock mode
@@ -270,12 +273,6 @@ type Server struct {
 	mu      sync.Mutex
 	records map[string]*Record
 	seq     int
-
-	// SSE fan-out: cursor counts sink events already broadcast; subs
-	// receive one pre-marshaled JSON line per event.
-	subMu  sync.Mutex
-	cursor int
-	subs   map[chan []byte]struct{}
 }
 
 // NewServer builds the gateway over its collaborators. With a Journal
@@ -285,7 +282,6 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		records: map[string]*Record{},
-		subs:    map[chan []byte]struct{}{},
 		done:    make(chan struct{}),
 		regions: map[string]bool{},
 	}
@@ -425,7 +421,6 @@ func (s *Server) auth(fn func(w http.ResponseWriter, r *http.Request, caller str
 func (s *Server) stepWall() {
 	if !s.cfg.SimControl {
 		s.cfg.Sched.StepTo(s.cfg.Clock.Now())
-		s.notify()
 	}
 }
 
@@ -544,23 +539,36 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request, caller str
 	// Run the responder session here, in the handler's goroutine: live
 	// mode's parallelism is exactly the server's request concurrency.
 	// The lake wants the event stream even when no sink collects it, so
-	// a configured lake also forces the observed path; its snapshot is
-	// taken before the scheduler assumes ownership of the recorder.
+	// a configured lake also forces the observed path. The lake entry,
+	// its event stream encoded once, is built before the scheduler
+	// assumes ownership of the recorder.
 	var rec *obs.Recorder
+	var recorded []obs.Event
 	var res harness.Result
-	var events []obs.Event
 	if or, observed := s.cfg.Runner.(harness.ObservedRunner); observed && (s.cfg.Sink != nil || s.cfg.Lake != nil) {
 		rec = obs.AcquireRecorder("gw/" + id)
 		res = or.RunObserved(in, seed, rec)
-		if s.cfg.Lake != nil {
-			events = append([]obs.Event(nil), rec.Events...)
-		}
-		if s.cfg.Sink == nil {
-			rec.Release()
-			rec = nil
-		}
+		recorded = rec.Events
 	} else {
 		res = s.cfg.Runner.Run(in, seed)
+	}
+	var entry lake.Entry
+	var events json.RawMessage
+	if s.cfg.Lake != nil {
+		entry = lake.NewEntry(id, s.cfg.Runner.Name(), in, res, seed, recorded)
+		entry.Region = region
+		events, err = lake.EncodeEvents(recorded)
+	}
+	if rec != nil && (s.cfg.Sink == nil || err != nil) {
+		rec.Release()
+		rec = nil
+	}
+	if err != nil {
+		s.mu.Lock()
+		delete(s.records, id) // release the reservation
+		s.mu.Unlock()
+		writeErr(w, http.StatusInternalServerError, CodeInternal, "", "%v", err)
+		return
 	}
 
 	err = s.cfg.Sched.Offer(fleet.LiveArrival{
@@ -588,9 +596,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request, caller str
 	// already fsync'd in the data lake. On failure the reservation is
 	// kept so a retry conflicts loudly instead of double-scheduling.
 	if s.cfg.Lake != nil {
-		entry := lake.NewEntry(id, s.cfg.Runner.Name(), in, res, seed, events)
-		entry.Region = region
-		if err := s.lakeAppend(entry); err != nil {
+		if err := s.lakeAppend(entry, events); err != nil {
 			writeErr(w, http.StatusInternalServerError, CodeInternal, "", "lake append: %v", err)
 			return
 		}
@@ -775,7 +781,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if !s.cfg.SimControl {
 		s.cfg.Sched.StepTo(s.cfg.Clock.Now())
-		s.notify()
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	_ = s.cfg.Sink.WriteMetrics(w)
@@ -874,7 +879,6 @@ func (s *Server) handleAdvance(w http.ResponseWriter, r *http.Request, _ string)
 	}
 	now := ac.AdvanceTo(target)
 	s.cfg.Sched.StepTo(now)
-	s.notify()
 	writeJSON(w, http.StatusOK, map[string]float64{"now_minutes": now.Minutes()})
 }
 
@@ -883,52 +887,12 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request, _ string) {
 	if ac, ok := s.cfg.Clock.(AdvanceClock); ok {
 		ac.AdvanceTo(s.cfg.Sched.Watermark())
 	}
-	s.notify()
 	writeJSON(w, http.StatusOK, sum)
 }
 
 // ---------------------------------------------------------------------------
 // SSE event stream.
 // ---------------------------------------------------------------------------
-
-// notify broadcasts sink events appended since the last notify to every
-// subscriber. Slow subscribers drop events (their channel is bounded);
-// the stream is a tap, the sink log is the record.
-func (s *Server) notify() {
-	if s.cfg.Sink == nil {
-		return
-	}
-	events := s.cfg.Sink.Events()
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	for ; s.cursor < len(events); s.cursor++ {
-		e := events[s.cursor]
-		line, err := json.Marshal(&e)
-		if err != nil {
-			continue
-		}
-		for ch := range s.subs {
-			select {
-			case ch <- line:
-			default: // subscriber too slow: drop
-			}
-		}
-	}
-}
-
-func (s *Server) subscribe() chan []byte {
-	ch := make(chan []byte, 1024)
-	s.subMu.Lock()
-	s.subs[ch] = struct{}{}
-	s.subMu.Unlock()
-	return ch
-}
-
-func (s *Server) unsubscribe(ch chan []byte) {
-	s.subMu.Lock()
-	delete(s.subs, ch)
-	s.subMu.Unlock()
-}
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, _ string) {
 	if s.cfg.Sink == nil {
@@ -940,6 +904,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, _ string) 
 		writeErr(w, http.StatusInternalServerError, CodeInternal, "", "streaming unsupported")
 		return
 	}
+	// Subscribe before the headers go out: once the client sees the
+	// stream open, every event the sink absorbs reaches it.
+	events, cancel := s.cfg.Sink.Subscribe()
+	defer cancel()
 	// SSE is the one long-lived response: clear the per-request write
 	// deadline so the server's WriteTimeout (slowloris protection for
 	// every other endpoint) does not sever healthy streams.
@@ -949,11 +917,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, _ string) 
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprint(w, ": aiopsd event stream\n\n")
 	fl.Flush()
-	ch := s.subscribe()
-	defer s.unsubscribe(ch)
 	for {
 		select {
-		case line := <-ch:
+		case e := <-events:
+			line, err := json.Marshal(&e)
+			if err != nil {
+				continue
+			}
 			fmt.Fprintf(w, "data: %s\n\n", line)
 			fl.Flush()
 		case <-r.Context().Done():

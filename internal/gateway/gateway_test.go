@@ -37,7 +37,7 @@ func newTestStack(t *testing.T, oces, queueLimit int) *testStack {
 	kbase := kb.Default()
 	kb.ApplyFastpathUpdate(kbase)
 	runner := &harness.HelperRunner{Label: "assisted-helper", KBase: kbase, Config: core.DefaultConfig()}
-	sink := obs.NewSink()
+	sink := obs.NewLogSink()
 	sched := fleet.NewSharded(fleet.ShardedLiveConfig{
 		Regions: []string{"default", "eu-west"},
 		OCEs:    oces, QueueLimit: queueLimit,
@@ -338,6 +338,60 @@ func TestSSEEventStream(t *testing.T) {
 		}
 	}
 	t.Fatalf("stream ended without an event for gw/sse-1: %v", scan.Err())
+}
+
+// TestSSEStreamsEveryEventInSeqOrder pins the push-based stream: a
+// subscriber attached before any traffic receives every event the
+// sink absorbs, in seq order, each framed as "data: <json.Marshal of
+// the event>" exactly as the sink's log would encode it.
+func TestSSEStreamsEveryEventInSeqOrder(t *testing.T) {
+	t.Parallel()
+	st := newTestStack(t, 1, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", st.ts.URL+"/v1/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-API-Key", "k-tenant-a")
+	resp, err := st.ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+
+	for i, region := range []string{"default", "eu-west", "default", "eu-west"} {
+		body := fmt.Sprintf(`{"id":"seq-%d","scenario":"gray-link","region":%q,"opened_at_minutes":%d}`, i, region, i)
+		if status, out := st.do(t, "POST", "/v1/incidents", "k-tenant-a", body); status != http.StatusCreated {
+			t.Fatalf("create %d: HTTP %d: %s", i, status, out)
+		}
+	}
+	if status, out := st.do(t, "POST", "/v1/sim/drain", "k-tenant-a", ""); status != http.StatusOK {
+		t.Fatalf("drain: HTTP %d: %s", status, out)
+	}
+
+	events := st.sink.Events()
+	if len(events) == 0 {
+		t.Fatal("sink absorbed no events")
+	}
+	want := bytes.NewBufferString(": aiopsd event stream\n\n")
+	for i := range events {
+		if events[i].Seq != int64(i+1) {
+			t.Fatalf("sink event %d has seq %d", i, events[i].Seq)
+		}
+		line, err := json.Marshal(&events[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(want, "data: %s\n\n", line)
+	}
+	got := make([]byte, want.Len())
+	if _, err := io.ReadFull(resp.Body, got); err != nil {
+		t.Fatalf("stream ended early: %v", err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("stream bytes differ from the sink log:\n--- got ---\n%s\n--- want ---\n%s", got, want.Bytes())
+	}
 }
 
 // TestWallClockModeProgresses covers the non-sim half of the bridge:

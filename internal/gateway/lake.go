@@ -7,15 +7,17 @@ package gateway
 // how /metrics behaves without a sink.
 
 import (
+	"encoding/json"
 	"net/http"
 
 	"repro/internal/lake"
 	"repro/internal/obs"
 )
 
-// lakeAppend ingests one entry, fsyncs it, and accounts for it.
-func (s *Server) lakeAppend(e lake.Entry) error {
-	n, err := s.cfg.Lake.Append(e)
+// lakeAppend ingests one entry with its encoded event stream, fsyncs
+// it, and accounts for it.
+func (s *Server) lakeAppend(e lake.Entry, events json.RawMessage) error {
+	n, err := s.cfg.Lake.AppendEncoded(e, events)
 	if err != nil {
 		return err
 	}

@@ -195,7 +195,6 @@ func (s *Server) Recover(rr journal.ReplayResult) (RecoverStats, error) {
 		ac.AdvanceTo(time.Duration(rr.MaxAtMinutes() * float64(time.Minute)))
 	}
 	s.cfg.Sched.StepTo(s.cfg.Clock.Now())
-	s.notify()
 	if s.cfg.Sink != nil && len(rr.Records) > 0 {
 		s.cfg.Sink.Registry().Inc(obs.MJournalReplayed, nil, float64(len(rr.Records)))
 	}

@@ -59,7 +59,7 @@ func recoverJournal(n int, regions []string) journal.ReplayResult {
 // recoverServer builds a gateway the way aiopsd -sim -regions -steal
 // does, over the given runner, without a journal or lake.
 func recoverServer(runner harness.Runner, regions []string) (*Server, *obs.Sink) {
-	sink := obs.NewSink()
+	sink := obs.NewLogSink()
 	sched := fleet.NewSharded(fleet.ShardedLiveConfig{
 		Regions: regions, OCEs: 3, Policy: fleet.SeverityAging,
 		QueueLimit: 8, AgingStep: 30 * time.Minute, Steal: true,

@@ -12,12 +12,15 @@
 // and each checks its output shape. The other rows are the substrate
 // kernels: routing, world forks, seeding, embeddings, search, the
 // simulated LLM, risk, whole sessions, the fleet schedulers, the data
-// lake, boot recovery and the trial pool.
+// lake, the gateway's create path, boot recovery and the trial pool.
 package kernels
 
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -247,6 +250,23 @@ var Table = append(experimentRows(), []Kernel{
 			}
 		}
 	}},
+	{"GatewayCreate", "one POST /v1/incidents to its 201 through Handler(): session, lake and journal fsync, sink, no socket", func(b *testing.B) {
+		h, clock := gatewayStack(b)
+		regions := []string{"r0", "r1", "r2", "r3"}
+		for i := 0; b.Loop(); i++ {
+			// Ten simulated minutes between arrivals keep the pools
+			// draining; the POST's own wall-clock step dispatches them.
+			clock.AdvanceTo(time.Duration(i) * 10 * time.Minute)
+			req := httptest.NewRequest("POST", "/v1/incidents", strings.NewReader(fmt.Sprintf(
+				`{"id":"bench-%07d","scenario":"gray-link","region":%q,"opened_at_minutes":%d}`, i, regions[i%len(regions)], i*10)))
+			req.Header.Set("X-API-Key", "k")
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			if w.Code != 201 {
+				b.Fatalf("POST %d: HTTP %d: %s", i, w.Code, w.Body)
+			}
+		}
+	}},
 	{"RunTrialsOverhead", "64 near-empty trials through the trial pool: per-trial scheduling cost", func(b *testing.B) {
 		for i := 0; b.Loop(); i++ {
 			parallel.RunTrials(64, 0, int64(i), func(seed int64, trial int) int64 { return seed ^ int64(trial) })
@@ -393,6 +413,40 @@ func writeSessionLake(b *testing.B, dir string, n int) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// gatewayStack builds the gateway aiopsd runs with -journal, -lake and
+// four stealing regions, stores in a fresh directory closed when b
+// ends, in wall-clock mode over a simulated clock the caller advances:
+// every request steps the scheduler to the clock, as a deployed daemon
+// does.
+func gatewayStack(b *testing.B) (http.Handler, *gateway.SimClock) {
+	dir := b.TempDir()
+	jr, rr, err := journal.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dl, _, err := lake.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { jr.Close(); dl.Close() })
+	runner := helper()
+	sink := obs.NewSink()
+	clock := gateway.NewSimClock()
+	gw := gateway.NewServer(gateway.Config{
+		Keys: map[string]string{"k": "bench"}, Clock: clock, Runner: runner, Seed: 7, Sink: sink,
+		Journal: jr, Lake: dl,
+		Sched: fleet.NewSharded(fleet.ShardedLiveConfig{
+			Regions: []string{"r0", "r1", "r2", "r3"}, OCEs: 3, Policy: fleet.SeverityAging,
+			QueueLimit: 8, AgingStep: 30 * time.Minute, Steal: true,
+			Obs: sink, RunnerName: runner.Name(),
+		}),
+	})
+	if _, err := gw.Recover(rr); err != nil {
+		b.Fatal(err)
+	}
+	return gw.Handler(), clock
 }
 
 // crashedJournal is the replay of a store that crashed with n accepted

@@ -12,13 +12,13 @@
 // before acknowledge, torn tails truncated on open. A lake Append that
 // returned nil survives kill -9.
 //
-// Open decodes each entry's header fields but keeps its event stream as
-// the raw JSON array: boot only needs the headers for the derived
-// views, and the events are most of every entry's bytes. Get, Entries
-// and ByTag decode the events on read and return exactly what an eager
-// decode would; the decoded events are not kept, so a reopened lake
-// holds only the raw bytes. Entries added by Append keep the events
-// they arrived with.
+// The lake keeps each entry's header fields decoded and its event
+// stream as the raw JSON array, whether the entry was read by Open or
+// written by Append: the derived views need only the headers, and the
+// events are most of every entry's bytes. Get, Entries and ByTag decode
+// the events on read and return exactly what an eager decode would;
+// the decoded events are not kept, so the lake holds one raw copy of
+// each stream.
 //
 // Derived views are maintained incrementally on ingest and rebuilt
 // from the log on open: per-scenario-class TTM statistics, mitigation
@@ -32,6 +32,7 @@ package lake
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -112,7 +113,8 @@ type Entry struct {
 // NewEntry builds the lake record for one completed session: scenario
 // facts from the instance, outcome facts from the uniform result
 // (Chain rides in res.Deductions), and the proposed-edge set
-// reconstructed from the event stream.
+// reconstructed from the event stream. The entry's Events aliases
+// events: Append encodes it, and the lake never keeps the slice.
 func NewEntry(id, runner string, in *scenarios.Instance, res harness.Result, seed int64, events []obs.Event) Entry {
 	e := Entry{
 		ID:         id,
@@ -127,7 +129,7 @@ func NewEntry(id, runner string, in *scenarios.Instance, res harness.Result, see
 		Symptoms:   append([]string(nil), in.Incident.Symptoms...),
 		Chain:      append([]string(nil), res.Deductions...),
 		Proposed:   ProposedEdges(in.Incident.Symptoms, events),
-		Events:     append([]obs.Event(nil), events...),
+		Events:     events,
 	}
 	for _, a := range res.Applied.Actions {
 		e.Applied = append(e.Applied, Action{Kind: string(a.Kind), Target: a.Target, Param: a.Param})
@@ -251,8 +253,7 @@ func (a *classAgg) add(e Entry) {
 // stored is one in-memory entry. It is also the shape Open decodes a
 // payload into: the embedded Entry takes every header field through its
 // own tags, and the shallower Events field shadows Entry.Events, so the
-// event stream stays raw. Entries added by Append leave Events nil and
-// keep their decoded stream in Entry.Events.
+// event stream stays raw. Entry.Events is always nil.
 type stored struct {
 	Entry
 	Events json.RawMessage `json:"events,omitempty"`
@@ -414,15 +415,46 @@ func (l *Lake) rebuild() {
 // the entry is durable — the gateway calls it before acknowledging any
 // 2xx.
 func (l *Lake) Append(e Entry) (int, error) {
+	events, err := EncodeEvents(e.Events)
+	if err != nil {
+		return 0, err
+	}
+	return l.AppendEncoded(e, events)
+}
+
+// EncodeEvents is the JSON encoding of an event stream, the form the
+// lake keeps: nil for an empty stream.
+func EncodeEvents(events []obs.Event) (json.RawMessage, error) {
+	if len(events) == 0 {
+		return nil, nil
+	}
+	raw, err := json.Marshal(events)
+	if err != nil {
+		return nil, fmt.Errorf("lake: encode events: %w", err)
+	}
+	return raw, nil
+}
+
+// AppendEncoded is Append for an entry whose event stream was already
+// encoded by EncodeEvents; e.Events is ignored. The lake keeps events
+// as the entry's one copy of its stream, so the caller must not modify
+// it afterwards. The frame is byte-identical to Append's for the same
+// entry: Events is Entry's last field, so its encoding is the header's
+// encoding with the stream spliced in before the closing brace.
+func (l *Lake) AppendEncoded(e Entry, events json.RawMessage) (int, error) {
 	if e.ID == "" {
 		return 0, fmt.Errorf("lake: entry with empty id")
 	}
 	if e.V == 0 {
 		e.V = Version
 	}
+	e.Events = nil
 	payload, err := json.Marshal(e)
 	if err != nil {
 		return 0, fmt.Errorf("lake: encode: %w", err)
+	}
+	if len(events) > 0 {
+		payload = slices.Concat(payload[:len(payload)-1], []byte(`,"events":`), events, []byte("}"))
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -430,7 +462,7 @@ func (l *Lake) Append(e Entry) (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("lake: %w", err)
 	}
-	l.absorb(stored{Entry: e})
+	l.absorb(stored{Entry: e, Events: events})
 	return n, nil
 }
 

@@ -160,6 +160,73 @@ func TestLakeLazyMatchesEager(t *testing.T) {
 	}
 }
 
+// TestLakeAppendKeepsOneRawCopy: Append and AppendEncoded write the
+// frame json.Marshal(entry) would, and a live lake reads back what was
+// appended, decoded from the one raw copy it keeps.
+func TestLakeAppendKeepsOneRawCopy(t *testing.T) {
+	entries := append(sampleEntries(), realEntries()[:20]...)
+	empty := sampleEntries()[2]
+	empty.ID, empty.Events = "inc-empty", []obs.Event{}
+	entries = append(entries, empty)
+	for _, encoded := range []bool{false, true} {
+		dir := t.TempDir()
+		l, _, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if encoded {
+				events, err := EncodeEvents(e.Events)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = l.AppendEncoded(e, events)
+			} else {
+				_, err = l.Append(e)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, e := range entries {
+			got, ok := l.Get(e.ID)
+			want := e
+			want.V = Version
+			if len(want.Events) == 0 {
+				want.Events = nil
+			}
+			if !ok || !reflect.DeepEqual(got, want) {
+				t.Fatalf("encoded=%v: Get(%s) differs from the appended entry", encoded, e.ID)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var frames [][]byte
+		ff, _, _, err := OpenFrameLog(dir, func(payload []byte) bool {
+			frames = append(frames, append([]byte(nil), payload...))
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ff.Close()
+		if len(frames) != len(entries) {
+			t.Fatalf("encoded=%v: %d frames for %d entries", encoded, len(frames), len(entries))
+		}
+		for i, e := range entries {
+			e.V = Version
+			want, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(frames[i]) != string(want) {
+				t.Fatalf("encoded=%v: frame %d (%s) differs from json.Marshal of the entry:\n%s\nvs\n%s", encoded, i, e.ID, frames[i], want)
+			}
+		}
+	}
+}
+
 // TestLakeOpenEventsShape: a CRC-clean frame whose event stream is not
 // an array of objects still truncates the log at Open, exactly where an
 // eager decode would. An ill-typed field inside an event object is the

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -202,29 +203,83 @@ func Collect(r *Registry, e Event) {
 	}
 }
 
-// Sink is the top-level collection target: a globally ordered event log
-// plus the aggregate registry. Parallel paths buffer into per-trial
-// Recorders and Absorb them in trial order; serial paths may Emit into
-// the Sink directly (it implements Observer).
+// Sink is the top-level collection target: the aggregate registry,
+// the global sequence counter, and the live subscriber set. Parallel
+// paths buffer into per-trial Recorders and Absorb them in trial order;
+// serial paths may Emit into the Sink directly (it implements
+// Observer).
+//
+// A sink built by NewSink keeps no event log: each event is sequenced,
+// pushed to the subscribers, folded into the registry, and dropped, so
+// a long-lived daemon's memory does not grow with its event count. A
+// sink whose log will be read (a -trace-out export, a test) is built
+// by NewLogSink, which also keeps every event in absorb order.
 type Sink struct {
 	mu     sync.Mutex
+	keep   bool
 	events []Event
 	reg    *Registry
 	seq    int64
+	subs   []chan Event
 }
 
-// NewSink builds a sink over the standard aiops registry.
+// NewSink builds a sink over the standard aiops registry that keeps no
+// event log: Events and WriteEvents return nothing.
 func NewSink() *Sink { return &Sink{reg: NewAIOpsRegistry()} }
 
+// NewLogSink builds a sink over the standard aiops registry that also
+// keeps the globally ordered event log Events and WriteEvents return.
+func NewLogSink() *Sink { return &Sink{reg: NewAIOpsRegistry(), keep: true} }
+
+// KeepsLog reports whether the sink keeps an event log (NewLogSink).
+func (s *Sink) KeepsLog() bool { return s.keep }
+
 // Emit implements Observer: the event gets the next global sequence
-// number, joins the log, and feeds the registry.
+// number, joins the log if the sink keeps one, goes to every
+// subscriber, and feeds the registry.
 func (s *Sink) Emit(e Event) {
 	s.mu.Lock()
-	s.seq++
-	e.Seq = s.seq
-	s.events = append(s.events, e)
+	s.record(e)
 	s.mu.Unlock()
 	Collect(s.reg, e)
+}
+
+// record sequences one event, logs it if the sink keeps a log, and
+// offers it to each subscriber without blocking: a subscriber whose
+// channel is full misses the event (the stream is a tap, not the
+// record). Callers hold s.mu, so every subscriber sees seq order.
+func (s *Sink) record(e Event) {
+	s.seq++
+	e.Seq = s.seq
+	if s.keep {
+		s.events = append(s.events, e)
+	}
+	for _, ch := range s.subs {
+		select {
+		case ch <- e:
+		default:
+		}
+	}
+}
+
+// subscriberBuffer bounds each subscriber's channel: the events a
+// subscriber may fall behind by before it starts missing them.
+const subscriberBuffer = 1024
+
+// Subscribe registers a subscriber that receives every event emitted
+// or absorbed from now on, sequenced, in seq order, until cancel is
+// called. A subscriber more than 1,024 events behind misses events
+// rather than slowing the sink. The channel is never closed.
+func (s *Sink) Subscribe() (events <-chan Event, cancel func()) {
+	ch := make(chan Event, subscriberBuffer)
+	s.mu.Lock()
+	s.subs = append(s.subs, ch)
+	s.mu.Unlock()
+	return ch, func() {
+		s.mu.Lock()
+		s.subs = slices.DeleteFunc(s.subs, func(c chan Event) bool { return c == ch })
+		s.mu.Unlock()
+	}
 }
 
 // Absorb folds one trial's buffered events into the sink. Callers must
@@ -245,19 +300,19 @@ func (s *Sink) Absorb(r *Recorder) {
 // cell a private sink and absorb the cell sinks in cell order, and the
 // merged log stays worker-count-independent. Gauge values resolve to the
 // last absorbed sink's, which is likewise deterministic in that order.
+// Events o counted but did not log still advance s's sequence counter.
 func (s *Sink) AbsorbSink(o *Sink) {
 	if s == nil || o == nil {
 		return
 	}
 	o.mu.Lock()
-	events := append([]Event(nil), o.events...)
+	events, n := o.events, o.seq
 	o.mu.Unlock()
 	s.mu.Lock()
 	for _, e := range events {
-		s.seq++
-		e.Seq = s.seq
-		s.events = append(s.events, e)
+		s.record(e)
 	}
+	s.seq += n - int64(len(events))
 	s.mu.Unlock()
 	s.reg.Merge(o.reg)
 }
@@ -272,7 +327,8 @@ func (s *Sink) Observer() Observer {
 	return s
 }
 
-// Events returns the absorbed log (live slice; do not mutate).
+// Events returns the absorbed log (live slice; do not mutate), or nil
+// for a sink that keeps no log.
 func (s *Sink) Events() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -282,7 +338,8 @@ func (s *Sink) Events() []Event {
 // Registry exposes the aggregate metrics.
 func (s *Sink) Registry() *Registry { return s.reg }
 
-// WriteEvents writes the event log as JSON lines.
+// WriteEvents writes the event log as JSON lines; a sink that keeps no
+// log writes nothing.
 func (s *Sink) WriteEvents(w io.Writer) error {
 	s.mu.Lock()
 	events := s.events

@@ -19,6 +19,13 @@
 // byte-identical at every worker count. A nil Observer is a true no-op:
 // code paths that emit through a nil observer behave (and render)
 // exactly as a build without this package.
+//
+// Memory is the other contract. A Sink keeps its event log only when
+// built by NewLogSink (a -trace-out export, tests); the default sink
+// counts each event into the registry and drops it, so a long-lived
+// daemon does not grow with its event count. Live consumers (the
+// gateway's SSE stream) subscribe to the sink and have each event
+// pushed to them as it is absorbed, instead of reading a log.
 package obs
 
 import (
@@ -195,9 +202,12 @@ func AcquireRecorder(session string) *Recorder {
 
 // Release returns the recorder to the pool, keeping its buffer capacity.
 // Callers must not touch the recorder afterwards; the Sink copies events
-// on absorb, so absorbed events survive recycling.
+// on absorb, so absorbed events survive recycling. The buffered events
+// are zeroed first so a pooled buffer pins no Detail strings or
+// outcomes until its slots are overwritten.
 func (r *Recorder) Release() {
 	r.Session = ""
+	clear(r.Events)
 	r.Events = r.Events[:0]
 	recorderPool.Put(r)
 }

@@ -52,7 +52,7 @@ func TestEventLogRoundTrip(t *testing.T) {
 
 func TestSinkAbsorbAssignsGlobalSeq(t *testing.T) {
 	t.Parallel()
-	s := NewSink()
+	s := NewLogSink()
 	a := NewRecorder("t0")
 	a.Emit(Event{Type: EvHypothesis})
 	a.Emit(Event{Type: EvHypothesisTested, Verdict: "supported"})
@@ -140,5 +140,126 @@ func TestPrometheusExportShape(t *testing.T) {
 	// Undeclared families with no series must not appear.
 	if strings.Contains(out, MQuarantined) {
 		t.Errorf("empty family exported:\n%s", out)
+	}
+}
+
+func TestReleaseZeroesPooledSlots(t *testing.T) {
+	t.Parallel()
+	r := NewRecorder("t0")
+	for i := 0; i < 5; i++ {
+		r.Emit(Event{Type: EvSessionEnd, Detail: "line", Outcome: &SessionOutcome{Mitigated: true}})
+	}
+	r.Release()
+	for i, e := range r.Events[:cap(r.Events)] {
+		if !reflect.DeepEqual(e, Event{}) {
+			t.Fatalf("slot %d past len still holds %+v", i, e)
+		}
+	}
+}
+
+func TestSinkKeepsLogOnlyWhenAsked(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		sink *Sink
+		want int
+	}{{NewSink(), 0}, {NewLogSink(), 3}} {
+		rec := NewRecorder("t0")
+		for i := 0; i < 3; i++ {
+			rec.Emit(Event{Type: EvToolCall, Tool: "pingmesh", Disposition: "ok"})
+		}
+		tc.sink.Absorb(rec)
+		var buf bytes.Buffer
+		if err := tc.sink.WriteEvents(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(tc.sink.Events()); got != tc.want {
+			t.Fatalf("KeepsLog=%v: %d events retained, want %d", tc.sink.KeepsLog(), got, tc.want)
+		}
+		if lines := strings.Count(buf.String(), "\n"); lines != tc.want {
+			t.Fatalf("KeepsLog=%v: WriteEvents wrote %d lines, want %d", tc.sink.KeepsLog(), lines, tc.want)
+		}
+		if got := tc.sink.Registry().CounterValue(MToolCalls, Labels{"tool": "pingmesh", "disposition": "ok"}); got != 3 {
+			t.Fatalf("KeepsLog=%v: registry counted %v tool calls, want 3", tc.sink.KeepsLog(), got)
+		}
+	}
+}
+
+// A subscriber sees every event emitted or absorbed after it subscribed,
+// sequenced, in seq order, and nothing after it cancels.
+func TestSinkSubscribePushesInSeqOrder(t *testing.T) {
+	t.Parallel()
+	s := NewSink()
+	s.Emit(Event{Type: EvHypothesis}) // before the subscriber: not seen
+	ch, cancel := s.Subscribe()
+	rec := NewRecorder("t0")
+	rec.Emit(Event{Type: EvHypothesis})
+	rec.Emit(Event{Type: EvHypothesisTested, Verdict: "supported"})
+	s.Absorb(rec)
+	cell := NewLogSink()
+	cell.Emit(Event{Type: EvMitigation, Action: "drain(l1)"})
+	s.AbsorbSink(cell)
+	cancel()
+	s.Emit(Event{Type: EvHypothesis}) // after cancel: not seen
+	var got []Event
+	for len(ch) > 0 {
+		got = append(got, <-ch)
+	}
+	want := []Event{
+		{Seq: 2, Session: "t0", Type: EvHypothesis},
+		{Seq: 3, Session: "t0", Type: EvHypothesisTested, Verdict: "supported"},
+		{Seq: 4, Type: EvMitigation, Action: "drain(l1)"},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("subscriber got\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// A subscriber that falls subscriberBuffer events behind misses the
+// rest; Emit never blocks on it.
+func TestSinkSlowSubscriberDrops(t *testing.T) {
+	t.Parallel()
+	s := NewSink()
+	ch, cancel := s.Subscribe()
+	defer cancel()
+	for i := 0; i < subscriberBuffer+10; i++ {
+		s.Emit(Event{Type: EvHypothesis})
+	}
+	if len(ch) != subscriberBuffer {
+		t.Fatalf("subscriber holds %d events, want the %d-event bound", len(ch), subscriberBuffer)
+	}
+	if first := <-ch; first.Seq != 1 {
+		t.Fatalf("first buffered event has seq %d, want 1", first.Seq)
+	}
+}
+
+// AbsorbSink of a sink that kept no log still advances the counter, so
+// later events carry the same seq whether or not the cell kept a log.
+func TestAbsorbSinkWithoutLogAdvancesSeq(t *testing.T) {
+	t.Parallel()
+	for _, cell := range []*Sink{NewSink(), NewLogSink()} {
+		s := NewLogSink()
+		cell.Emit(Event{Type: EvHypothesis})
+		cell.Emit(Event{Type: EvHypothesis})
+		s.AbsorbSink(cell)
+		s.Emit(Event{Type: EvMitigation})
+		ev := s.Events()
+		if last := ev[len(ev)-1]; last.Seq != 3 {
+			t.Fatalf("cell KeepsLog=%v: next event has seq %d, want 3", cell.KeepsLog(), last.Seq)
+		}
+	}
+}
+
+// Emit on a sink with no log and no subscriber costs what Collect
+// costs: the event is sequenced and counted, never copied anywhere.
+func TestNoLogEmitAllocatesLikeCollect(t *testing.T) {
+	e := Event{Type: EvToolCall, Tool: "pingmesh", Disposition: "ok", Latency: time.Minute}
+	reg := NewAIOpsRegistry()
+	Collect(reg, e)
+	collect := testing.AllocsPerRun(200, func() { Collect(reg, e) })
+	s := NewSink()
+	s.Emit(e)
+	emit := testing.AllocsPerRun(200, func() { s.Emit(e) })
+	if emit > collect {
+		t.Fatalf("Emit allocates %.1f per event, Collect alone %.1f", emit, collect)
 	}
 }
