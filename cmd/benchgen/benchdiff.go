@@ -3,11 +3,12 @@ package main
 // The -bench-diff mode compares two -bench-json snapshots and gates on
 // regressions: `benchgen -bench-diff OLD.json NEW.json` prints a
 // per-kernel ratio table (ns/op and allocs/op, new/old) and exits
-// nonzero when any headline kernel's ns/op regresses by more than 20%.
-// "Headline kernels" are the substrate micro-kernels — every record
-// whose name is not an experiment id (e1, e2, ...). Experiment rows are
-// reported but don't gate: their wall time includes full table
-// generation and is too coarse for a ratio threshold.
+// nonzero when any headline kernel's ns/op regresses by more than 20%
+// or its allocs/op by more than 5%. "Headline kernels" are the
+// substrate micro-kernels — every record whose name is not an
+// experiment id (e1, e2, ...). Experiment rows are reported but don't
+// gate: their wall time includes full table generation and is too
+// coarse for a ratio threshold.
 
 import (
 	"encoding/json"
@@ -18,9 +19,18 @@ import (
 	"strings"
 )
 
-// benchRegressLimit is the gating threshold: a headline kernel whose
-// ns/op ratio (new/old) exceeds this fails the diff.
+// benchRegressLimit is the ns/op gate: a headline kernel whose ns/op
+// ratio (new/old) exceeds this fails the diff.
 const benchRegressLimit = 1.20
+
+// benchAllocLimit is the allocs/op gate: a headline kernel whose
+// allocs/op ratio (new/old) exceeds this fails the diff. Unlike ns/op,
+// allocs/op barely moves between runs of one binary: in two pairs of
+// back-to-back caches-off snapshots (two binaries, 2-vCPU VM) the
+// widest headline spread was 1.3% (FleetHelperSessions, 90,472–91,632),
+// while ns/op moved up to 1.58x. 1.05 is about four times that spread,
+// and on a row under 20 allocs/op one extra allocation trips it.
+const benchAllocLimit = 1.05
 
 var expIDPattern = regexp.MustCompile(`^e\d+$`)
 
@@ -35,6 +45,22 @@ type benchDiffRow struct {
 	Missing              bool // present in only one snapshot
 }
 
+// failed names the gates a headline row fails ("ns/op", "allocs/op"),
+// none for a passing, experiment or one-sided row.
+func (r benchDiffRow) failed() []string {
+	if !r.Headline || r.Missing {
+		return nil
+	}
+	var out []string
+	if r.NsRatio > benchRegressLimit {
+		out = append(out, "ns/op")
+	}
+	if r.AllocRatio > benchAllocLimit {
+		out = append(out, "allocs/op")
+	}
+	return out
+}
+
 func ratio(newV, oldV int64) float64 {
 	if oldV <= 0 {
 		if newV <= 0 {
@@ -47,7 +73,7 @@ func ratio(newV, oldV int64) float64 {
 
 // diffBenchFiles joins two snapshots by benchmark name (old-file order,
 // then new-only rows) and returns the rows plus the names of headline
-// kernels that regressed past benchRegressLimit.
+// kernels that fail a gate.
 func diffBenchFiles(oldF, newF *benchFile) (rows []benchDiffRow, regressed []string) {
 	newByName := make(map[string]benchRecord, len(newF.Benchmarks))
 	for _, r := range newF.Benchmarks {
@@ -72,7 +98,7 @@ func diffBenchFiles(oldF, newF *benchFile) (rows []benchDiffRow, regressed []str
 		row.NewAllocs = nr.AllocsPerOp
 		row.NsRatio = ratio(nr.NsPerOp, o.NsPerOp)
 		row.AllocRatio = ratio(nr.AllocsPerOp, o.AllocsPerOp)
-		if row.Headline && row.NsRatio > benchRegressLimit {
+		if len(row.failed()) > 0 {
 			regressed = append(regressed, o.Name)
 		}
 		rows = append(rows, row)
@@ -96,7 +122,8 @@ func diffBenchFiles(oldF, newF *benchFile) (rows []benchDiffRow, regressed []str
 // speedups; the `gate` column marks rows that participate in the exit
 // code.
 func writeBenchDiff(w io.Writer, oldPath, newPath string, rows []benchDiffRow) {
-	fmt.Fprintf(w, "bench-diff: %s -> %s (gate: headline ns/op ratio <= %.2f)\n\n", oldPath, newPath, benchRegressLimit)
+	fmt.Fprintf(w, "bench-diff: %s -> %s (gate: headline ns/op ratio <= %.2f, allocs/op ratio <= %.2f)\n\n",
+		oldPath, newPath, benchRegressLimit, benchAllocLimit)
 	fmt.Fprintf(w, "%-34s %14s %14s %8s %10s %10s %8s  %s\n",
 		"name", "old ns/op", "new ns/op", "ratio", "old allocs", "new allocs", "ratio", "gate")
 	for _, r := range rows {
@@ -116,8 +143,8 @@ func writeBenchDiff(w io.Writer, oldPath, newPath string, rows []benchDiffRow) {
 			continue
 		}
 		verdict := ""
-		if r.Headline && r.NsRatio > benchRegressLimit {
-			verdict = "  REGRESSED"
+		if gates := r.failed(); len(gates) > 0 {
+			verdict = "  REGRESSED " + strings.Join(gates, ", ")
 		}
 		fmt.Fprintf(w, "%-34s %14d %14d %7.2fx %10d %10d %7.2fx  %s%s\n",
 			r.Name, r.OldNs, r.NewNs, r.NsRatio, r.OldAllocs, r.NewAllocs, r.AllocRatio, gate, verdict)
@@ -154,9 +181,15 @@ func runBenchDiff(oldPath, newPath string) error {
 	rows, regressed := diffBenchFiles(oldF, newF)
 	writeBenchDiff(os.Stdout, oldPath, newPath, rows)
 	if len(regressed) > 0 {
-		return fmt.Errorf("bench-diff: %d headline kernel(s) regressed >%d%%: %s",
-			len(regressed), int((benchRegressLimit-1)*100), strings.Join(regressed, ", "))
+		var named []string
+		for _, r := range rows {
+			if gates := r.failed(); len(gates) > 0 {
+				named = append(named, fmt.Sprintf("%s (%s)", r.Name, strings.Join(gates, ", ")))
+			}
+		}
+		return fmt.Errorf("bench-diff: %d headline kernel(s) regressed (ns/op >%.2fx or allocs/op >%.2fx): %s",
+			len(regressed), benchRegressLimit, benchAllocLimit, strings.Join(named, "; "))
 	}
-	fmt.Printf("\nbench-diff: no headline kernel regressed more than %d%%\n", int((benchRegressLimit-1)*100))
+	fmt.Printf("\nbench-diff: no headline kernel regressed (ns/op >%.2fx or allocs/op >%.2fx)\n", benchRegressLimit, benchAllocLimit)
 	return nil
 }

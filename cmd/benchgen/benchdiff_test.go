@@ -1,6 +1,7 @@
 package main
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -81,5 +82,55 @@ func TestDiffBenchFilesHandlesMissingRows(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "old only") || !strings.Contains(out, "new only") {
 		t.Fatalf("table should mark one-sided rows:\n%s", out)
+	}
+}
+
+// One extra allocation per op on a small headline row fails the diff
+// and names the row, even with ns/op level; the same +1 on a large row,
+// or any allocs/op jump on an experiment row, does not.
+func TestDiffBenchFilesFlagsAllocRegression(t *testing.T) {
+	oldF := bf(
+		benchRecord{Name: "e2", NsPerOp: 1_000_000, AllocsPerOp: 1000},
+		benchRecord{Name: "SeedRand", NsPerOp: 2_000, AllocsPerOp: 2},
+		benchRecord{Name: "HelperSessionCascade", NsPerOp: 3_000_000, AllocsPerOp: 3777},
+	)
+	newF := bf(
+		benchRecord{Name: "e2", NsPerOp: 1_000_000, AllocsPerOp: 2000},
+		benchRecord{Name: "SeedRand", NsPerOp: 2_000, AllocsPerOp: 3},
+		benchRecord{Name: "HelperSessionCascade", NsPerOp: 3_000_000, AllocsPerOp: 3778},
+	)
+	rows, regressed := diffBenchFiles(oldF, newF)
+	if len(regressed) != 1 || regressed[0] != "SeedRand" {
+		t.Fatalf("regressed = %v, want [SeedRand]", regressed)
+	}
+	var sb strings.Builder
+	writeBenchDiff(&sb, "old.json", "new.json", rows)
+	if !strings.Contains(sb.String(), "REGRESSED allocs/op") {
+		t.Fatalf("table should mark the allocs/op regression:\n%s", sb.String())
+	}
+	// Exactly at the limit passes: the gate is strictly greater-than.
+	oldF.Benchmarks[1].AllocsPerOp, newF.Benchmarks[1].AllocsPerOp = 100, 105
+	if _, regressed = diffBenchFiles(oldF, newF); len(regressed) != 0 {
+		t.Fatalf("allocs ratio 1.05 regressed = %v, want none", regressed)
+	}
+}
+
+// Every committed snapshot parses and passes the gate against itself.
+func TestCommittedSnapshotsPassAgainstThemselves(t *testing.T) {
+	paths, err := filepath.Glob("../../BENCH_*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no committed snapshots found (%v)", err)
+	}
+	for _, p := range paths {
+		f, err := loadBenchFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(f.Benchmarks) == 0 {
+			t.Errorf("%s: no benchmark rows", p)
+		}
+		if _, regressed := diffBenchFiles(f, f); len(regressed) != 0 {
+			t.Errorf("%s against itself: regressed %v", p, regressed)
+		}
 	}
 }

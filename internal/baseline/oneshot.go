@@ -42,13 +42,15 @@ type OneShot struct {
 	K       int // neighbors consulted (default 5)
 }
 
-// Train builds a one-shot predictor over the history with the given
-// embedder.
+// Train returns a one-shot predictor over the history with the given
+// embedder. The retrieval index (each record's text and symptoms) is
+// built once per history version and embedder (kb.History.Index); every
+// call gets its own fork of it, so training per incident costs a copy
+// of a struct, not an embedding pass over the history.
 func Train(hist *kb.History, kbase *kb.KB, embedder embed.Embedder) *OneShot {
-	store := embed.NewStore(embedder)
-	for _, r := range hist.All() {
-		store.Add(r.ID, r.Text()+" symptoms: "+strings.Join(r.Symptoms, " "))
-	}
+	store := hist.Index("one-shot", embedder, func(r kb.IncidentRecord) string {
+		return r.Text() + " symptoms: " + strings.Join(r.Symptoms, " ")
+	})
 	return &OneShot{Store: store, History: hist, KBase: kbase, K: 5}
 }
 

@@ -87,11 +87,15 @@ func (s *Store) embedText(text string) ([]float32, float64) {
 		return v, sqNorm(v)
 	}
 	if cur := memoEpoch.Load(); s.epoch != cur {
-		s.local = nil
+		s.base, s.local = nil, nil
 		s.epoch = cur
 	}
 	k := memoKey{name: s.emb.Name(), dim: s.emb.Dim(), text: text}
 	if e, ok := s.local[k]; ok {
+		s.hits++
+		return e.vec, e.norm
+	}
+	if e, ok := s.base[k]; ok {
 		s.hits++
 		return e.vec, e.norm
 	}

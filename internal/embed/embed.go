@@ -20,7 +20,9 @@
 package embed
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -238,18 +240,28 @@ type Hit struct {
 }
 
 // Store is a vector database over an embedder.
+//
+// A store built over fixed texts (an incident history) can be frozen
+// and forked: Freeze builds the LSH index once, and each Fork is a
+// private view that shares the frozen store's ids, vectors, norms, ID
+// index, LSH planes and buckets. A fork copies that data before its
+// first Add, so forks never write shared state and may run on parallel
+// workers. Its search results and CacheStats equal those of a store
+// built afresh from the same texts.
 type Store struct {
-	emb   Embedder
-	ids   []string
-	vecs  [][]float32
-	norms []float64 // squared L2 norm per vector, aligned with vecs
-	byID  map[string]int
+	emb    Embedder
+	ids    []string
+	vecs   [][]float32
+	norms  []float64 // squared L2 norm per vector, aligned with vecs
+	byID   map[string]int
+	shared bool // ids, vecs, norms and byID belong to a frozen store
 
-	planes [][]float32 // LSH hyperplanes; built lazily
+	planes [][]float32 // LSH hyperplanes; built lazily, or by Freeze
 	bucket map[uint64][]int
 
-	// Embedding-memo accounting; see cache.go.
-	local        map[memoKey]memoEntry
+	// Embedding-memo accounting; see cache.go. base is the frozen
+	// store's view, read-only and shared by its forks.
+	base, local  map[memoKey]memoEntry
 	epoch        int64
 	hits, misses int64
 }
@@ -268,6 +280,11 @@ func (s *Store) Len() int { return len(s.ids) }
 // Add embeds and stores text under id, replacing any existing entry.
 func (s *Store) Add(id, text string) {
 	v, n := s.embedText(text)
+	if s.shared {
+		s.ids, s.vecs, s.norms = slices.Clone(s.ids), slices.Clone(s.vecs), slices.Clone(s.norms)
+		s.byID = maps.Clone(s.byID)
+		s.shared = false
+	}
 	if i, ok := s.byID[id]; ok {
 		s.vecs[i] = v
 		s.norms[i] = n
@@ -278,6 +295,30 @@ func (s *Store) Add(id, text string) {
 		s.norms = append(s.norms, n)
 	}
 	s.planes, s.bucket = nil, nil // invalidate LSH index
+}
+
+// Freeze builds the LSH index and readies s to be forked. After Freeze,
+// s is used only through its forks.
+func (s *Store) Freeze() *Store {
+	s.buildLSH()
+	s.shared = true
+	if s.local != nil {
+		maps.Copy(s.local, s.base)
+		s.base, s.local = s.local, nil
+	}
+	return s
+}
+
+// Fork returns a private view of the frozen store s, as if the same
+// texts had just been added to a new store: same hits, same CacheStats,
+// and an embedding-memo view valid at the current memo epoch.
+func (s *Store) Fork() *Store {
+	if !s.shared || s.local != nil {
+		panic("embed: Fork of a store that is not frozen")
+	}
+	f := *s
+	f.epoch = memoEpoch.Load() // the base vectors are pure; only the epoch moved
+	return &f
 }
 
 // Search returns the k nearest stored entries to the query text by exact
@@ -311,7 +352,8 @@ func (s *Store) buildLSH() {
 	}
 	s.bucket = make(map[uint64][]int)
 	for i, v := range s.vecs {
-		s.bucket[s.sig(v)] = append(s.bucket[s.sig(v)], i)
+		sig := s.sig(v)
+		s.bucket[sig] = append(s.bucket[sig], i)
 	}
 }
 

@@ -74,13 +74,12 @@ type Runner interface {
 
 // newRegistry builds the per-incident toolbox. It also returns the
 // vector store backing the similar-incidents tool so the session can
-// report the store's embedding-cache counters at session end.
+// report the store's embedding-cache counters at session end. The store
+// is a fork of the history's index, built once per history version.
 func newRegistry(in *scenarios.Instance, hist *kb.History, emb embed.Embedder) (*tools.Registry, *embed.Store) {
 	store := embed.NewStore(emb)
 	if hist != nil {
-		for _, rec := range hist.All() {
-			store.Add(rec.ID, rec.Text())
-		}
+		store = hist.Index("similar-incidents", emb, kb.IncidentRecord.Text)
 	}
 	return tools.NewDefaultRegistry(store, hist, in.Incident.Title+" "+in.Incident.Summary, in.Incident.Service), store
 }
@@ -200,7 +199,11 @@ func helperResult(in *scenarios.Instance, out *core.Outcome) Result {
 	return res
 }
 
-// OneShotRunner drives the retrieval-based one-shot baseline.
+// OneShotRunner drives the retrieval-based one-shot baseline. Its
+// History must not change while a run is in flight; between runs it
+// may grow, and the next run retrains on the new version. Retrieval
+// indexes are built once per History version and forked per run, so
+// one runner is safe to share across pool workers.
 type OneShotRunner struct {
 	Label    string
 	History  *kb.History

@@ -2,7 +2,9 @@ package kb
 
 import (
 	"sort"
+	"sync"
 
+	"repro/internal/embed"
 	"repro/internal/mitigation"
 )
 
@@ -28,9 +30,34 @@ type IncidentRecord struct {
 func (r IncidentRecord) Text() string { return r.Title + ". " + r.Summary }
 
 // History is the incident database.
+//
+// It also owns the vector indexes derived from its records (Index).
+// Each is built once per history version and embedder and forked per
+// session, so a session does not re-embed the history. The indexes live
+// and die with the History; Add drops them.
 type History struct {
 	records []IncidentRecord
 	byID    map[string]int
+
+	mu      sync.Mutex
+	version uint64 // mutation count; an index is valid for one version
+	indexes map[indexKey]*indexSlot
+}
+
+// indexKey names one derived index. The embedder's Name and Dim stand
+// for the embedder, the purity contract of the embedding memo; the
+// embed-cache setting decides the store's memo accounting.
+type indexKey struct {
+	version  uint64
+	kind     string
+	embedder string
+	dim      int
+	cached   bool
+}
+
+type indexSlot struct {
+	once  sync.Once
+	store *embed.Store
 }
 
 // NewHistory returns an empty incident database.
@@ -38,14 +65,48 @@ func NewHistory() *History {
 	return &History{byID: make(map[string]int)}
 }
 
-// Add stores a record, replacing any record with the same ID.
+// Add stores a record, replacing any record with the same ID. It
+// advances the history version and drops every derived index. Like
+// every mutation, it must not run concurrently with readers.
 func (h *History) Add(r IncidentRecord) {
+	h.mu.Lock()
+	h.version++
+	h.indexes = nil
+	h.mu.Unlock()
 	if i, ok := h.byID[r.ID]; ok {
 		h.records[i] = r
 		return
 	}
 	h.byID[r.ID] = len(h.records)
 	h.records = append(h.records, r)
+}
+
+// Index returns a private fork of the vector store that holds every
+// record, in ID order, under its ID with text(record) embedded by e.
+// kind names the text function: callers that index different texts use
+// different kinds. The frozen store is built on the first call for each
+// (version, kind, embedder, embed-cache setting); Index is safe for
+// concurrent use.
+func (h *History) Index(kind string, e embed.Embedder, text func(IncidentRecord) string) *embed.Store {
+	h.mu.Lock()
+	key := indexKey{h.version, kind, e.Name(), e.Dim(), embed.EmbedCacheEnabled()}
+	slot := h.indexes[key]
+	if slot == nil {
+		if h.indexes == nil {
+			h.indexes = make(map[indexKey]*indexSlot)
+		}
+		slot = &indexSlot{}
+		h.indexes[key] = slot
+	}
+	h.mu.Unlock()
+	slot.once.Do(func() {
+		store := embed.NewStore(e)
+		for _, r := range h.All() {
+			store.Add(r.ID, text(r))
+		}
+		slot.store = store.Freeze()
+	})
+	return slot.store.Fork()
 }
 
 // Len reports the number of records.

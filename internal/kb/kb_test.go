@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/embed"
@@ -283,5 +284,39 @@ func TestBumpEvictsEmbeddingMemo(t *testing.T) {
 	s.Search("packet loss in us-east", 1)
 	if h, m := s.CacheStats(); h != h0 || m != m0+1 {
 		t.Fatalf("post-Bump lookup should miss: %d hits / %d misses, want %d / %d", h, m, h0, m0+1)
+	}
+}
+
+// History counts its mutations, LoadJSON's through Add, and an index
+// is rebuilt for each version: a fork taken after Add holds the new
+// record, while a fork taken before keeps its own view.
+func TestHistoryIndexFollowsVersion(t *testing.T) {
+	t.Parallel()
+	h := NewHistory()
+	h.Add(IncidentRecord{ID: "i1", Title: "packet loss in us-east"})
+	h.Add(IncidentRecord{ID: "i1", Title: "packet loss in us-east after a config push"})
+	if err := h.LoadJSON(strings.NewReader(`[{"id":"i2","title":"fiber cut"},{"id":"i3","title":"router crash"}]`)); err != nil {
+		t.Fatal(err)
+	}
+	if h.version != 4 {
+		t.Fatalf("version = %d after 2 Adds and a 2-record LoadJSON, want 4", h.version)
+	}
+	e := embed.NewDomainEmbedder(64)
+	old := h.Index("test", e, IncidentRecord.Text)
+	if old.Len() != 3 || h.Index("test", e, IncidentRecord.Text).Len() != 3 {
+		t.Fatalf("index of 3 records has %d vectors", old.Len())
+	}
+	if len(h.indexes) != 1 {
+		t.Fatalf("%d indexes built for one (kind, embedder), want 1", len(h.indexes))
+	}
+	h.Add(IncidentRecord{ID: "i4", Title: "optics degraded on the backbone"})
+	if h.indexes != nil {
+		t.Fatal("Add kept the previous version's indexes")
+	}
+	if got := h.Index("test", e, IncidentRecord.Text); got.Len() != 4 || got.Search("optics degraded on the backbone", 1)[0].ID != "i4" {
+		t.Fatalf("post-Add index has %d vectors, want the new record among 4", got.Len())
+	}
+	if old.Len() != 3 {
+		t.Fatalf("a fork of the old version changed to %d vectors", old.Len())
 	}
 }

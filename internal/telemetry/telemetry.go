@@ -13,8 +13,10 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -156,7 +158,7 @@ func (m *LinkUtilMonitor) Top(k int) []LinkUtilSample {
 		return nil
 	}
 	rep := m.World.Report()
-	var out []LinkUtilSample
+	out := make([]LinkUtilSample, 0, len(rep.LinkStats))
 	for lid, ls := range rep.LinkStats {
 		l := m.World.Net.Link(lid)
 		s := LinkUtilSample{Link: lid, Utilization: ls.Utilization, LossRate: ls.LossRate, CapacityGbps: l.CapacityGbps}
@@ -165,11 +167,11 @@ func (m *LinkUtilMonitor) Top(k int) []LinkUtilSample {
 		}
 		out = append(out, s)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Utilization != out[j].Utilization {
-			return out[i].Utilization > out[j].Utilization
+	slices.SortFunc(out, func(a, b LinkUtilSample) int {
+		if c := cmp.Compare(b.Utilization, a.Utilization); c != 0 {
+			return c // utilization descending
 		}
-		return out[i].Link < out[j].Link
+		return cmp.Compare(a.Link, b.Link)
 	})
 	if k > 0 && len(out) > k {
 		out = out[:k]
