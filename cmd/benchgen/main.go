@@ -87,22 +87,8 @@ func main() {
 			continue
 		}
 		ran++
-		fmt.Printf("==== %s: %s ====\n\n", e.ID, e.Desc)
 		section := eval.HTMLSection{Heading: e.ID + ": " + e.Desc}
-		if e.ID == "e1" {
-			trace, tables := experiments.E1FrameworkTrace(p)
-			fmt.Println(trace)
-			section.Pre = trace
-			section.Tables = tables
-			for _, t := range tables {
-				fmt.Println(t)
-			}
-		} else {
-			section.Tables = e.Run(p)
-			for _, t := range section.Tables {
-				fmt.Println(t)
-			}
-		}
+		section.Pre, section.Tables = e.Render(os.Stdout, p)
 		report.Sections = append(report.Sections, section)
 	}
 	if ran == 0 {

@@ -25,6 +25,14 @@ import (
 // KB.Bump() — the fleet learning loop publishing new knowledge — calls
 // InvalidateCache, which advances the epoch; stores notice the epoch
 // change and drop their local views lazily.
+//
+// The global memo is bounded: query texts (an incident's title and
+// summary) are unique per incident, so a long-running process would
+// otherwise keep one vector per incident it ever served. When the memo
+// reaches memoMax entries it starts over from an empty map. The epoch
+// does not advance, so store-local views and their hit/miss counters
+// are untouched; the next trial to embed an evicted text recomputes the
+// same vector.
 
 // embedCacheEnabled gates memoization so benchmarks and determinism
 // tests can diff cached vs uncached behavior.
@@ -52,6 +60,9 @@ type memoEntry struct {
 	vec  []float32
 	norm float64
 }
+
+// memoMax bounds the global memo's entry count.
+var memoMax = 2048
 
 var (
 	memoMu    sync.RWMutex
@@ -110,6 +121,9 @@ func (s *Store) embedText(text string) ([]float32, float64) {
 		if prior, again := memoVecs[k]; again {
 			e = prior // keep the first published entry
 		} else {
+			if len(memoVecs) >= memoMax {
+				memoVecs = make(map[memoKey]memoEntry)
+			}
 			memoVecs[k] = e
 		}
 		memoMu.Unlock()

@@ -1,6 +1,10 @@
 package embed
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // The memo tests are deliberately not parallel: they call
 // InvalidateCache, which is process-wide state shared with any test that
@@ -123,5 +127,49 @@ func TestCosineWithNormsBitIdentical(t *testing.T) {
 				t.Fatalf("cosineWithNorms(%q, %q) = %v, Cosine = %v", ta, tb, got, want)
 			}
 		}
+	}
+}
+
+// The global memo stays bounded over many distinct query texts (each
+// incident's are unique), and starting it over changes no store's
+// counters or results: a run with a tiny bound matches an unbounded one.
+func TestEmbedMemoBounded(t *testing.T) {
+	if !EmbedCacheEnabled() {
+		t.Skip("embed cache disabled")
+	}
+	defer func(old int) { memoMax = old }(memoMax)
+	run := func(bound int) (hits, misses int64, results string, peak int) {
+		memoMax = bound
+		InvalidateCache()
+		s := NewStore(NewDomainEmbedder(64))
+		for i := range 20 {
+			s.Add(fmt.Sprint("kb", i), fmt.Sprintf("known failure %d on device tor-%d", i, i%7))
+		}
+		var b strings.Builder
+		for i := range 300 {
+			// A unique query per "incident", then a repeat of an old one.
+			for _, q := range []string{fmt.Sprintf("incident %d: loss on link %d", i, i%11), fmt.Sprintf("incident %d: loss on link %d", i/2, (i/2)%11)} {
+				fmt.Fprintln(&b, s.Search(q, 2))
+			}
+			memoMu.RLock()
+			peak = max(peak, len(memoVecs))
+			memoMu.RUnlock()
+		}
+		hits, misses = s.CacheStats()
+		return hits, misses, b.String(), peak
+	}
+	h1, m1, r1, peak := run(16)
+	h2, m2, r2, unbounded := run(1 << 30)
+	if peak > 16 {
+		t.Fatalf("memo grew to %d entries, bound 16", peak)
+	}
+	if unbounded <= 16 {
+		t.Fatalf("setup: the unbounded memo peaked at %d entries, want more than the bound", unbounded)
+	}
+	if h1 != h2 || m1 != m2 {
+		t.Fatalf("bounded memo counters %d/%d, unbounded %d/%d", h1, m1, h2, m2)
+	}
+	if r1 != r2 {
+		t.Fatal("bounded memo changed search results")
 	}
 }

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"strings"
@@ -641,13 +642,35 @@ func E9Sensitivity(p Params) []*eval.Table {
 	return []*eval.Table{hal, beam, win, sc}
 }
 
-// Registry lists every experiment in order: its id (e1, e2, ...), a
+// Experiment is one registered experiment: its id (e1, e2, ...), a
 // one-line description, and the function that renders its tables.
-var Registry = []struct {
+type Experiment struct {
 	ID   string
 	Desc string
 	Run  func(Params) []*eval.Table
-}{
+}
+
+// Render runs e and writes its text block as benchgen prints it: a
+// header line, E1's session trace, then every table. It returns the
+// trace (empty for other experiments) and the tables.
+func (e Experiment) Render(w io.Writer, p Params) (string, []*eval.Table) {
+	fmt.Fprintf(w, "==== %s: %s ====\n\n", e.ID, e.Desc)
+	var trace string
+	var tables []*eval.Table
+	if e.ID == "e1" {
+		trace, tables = E1FrameworkTrace(p)
+		fmt.Fprintln(w, trace)
+	} else {
+		tables = e.Run(p)
+	}
+	for _, t := range tables {
+		fmt.Fprintln(w, t)
+	}
+	return trace, tables
+}
+
+// Registry lists every experiment in order.
+var Registry = []Experiment{
 	{"e1", "Fig.1 framework session", func(p Params) []*eval.Table { _, ts := E1FrameworkTrace(p); return ts }},
 	{"e2", "Fig.2 iterative vs one-shot by depth", E2IterativeVsOneShot},
 	{"e3", "Fig.3 adaptivity on the novel incident", E3Adaptivity},

@@ -17,6 +17,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Role identifies a chat message author.
@@ -81,11 +83,33 @@ type Model interface {
 }
 
 // CountTokens approximates tokenization at the conventional 4/3 tokens
-// per word (the paper's "32K tokens ~= 24K words" ratio for GPT-4).
+// per word (the paper's "32K tokens ~= 24K words" ratio for GPT-4). A
+// word is what strings.Fields returns: a maximal run of runes that are
+// not unicode.IsSpace, with invalid UTF-8 counting as non-space. It
+// counts word starts in one pass instead of building the slice, with
+// strings.Fields' table lookup for ASCII bytes.
 func CountTokens(s string) int {
-	n := len(strings.Fields(s))
+	n, inWord := 0, false
+	for i := 0; i < len(s); {
+		var space bool
+		if c := s[i]; c < utf8.RuneSelf {
+			space = asciiSpace[c]
+			i++
+		} else {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
+			i += size
+		}
+		if !space && !inWord {
+			n++
+		}
+		inWord = !space
+	}
 	return (n*4 + 2) / 3
 }
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // TruncateTokens cuts s to at most maxTokens, dropping trailing lines
 // first and then trailing words. It reports whether anything was cut.

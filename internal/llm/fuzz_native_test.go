@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/kb"
@@ -58,4 +59,37 @@ func FuzzTruncateTokens(f *testing.F) {
 			}
 		}
 	})
+}
+
+// countTokensCases are inputs on which CountTokens must agree with
+// len(strings.Fields): ASCII and Unicode whitespace, invalid UTF-8.
+var countTokensCases = []string{
+	"", " ", "a", " a ", "a b  c\t\td\n", "\v\f\r",
+	"a\u00a0b", "a\u0085b", "a\u2003b\u3000c", "\u1680x\u2028y\u205f",
+	"\u200bzero-width-is-not-space",
+	"\xff", "a\xffb", "\xc0 \xc1", "a\xe2\x80", "\xe2\x80\x83", "\xe2\x80 \x83",
+	"naïve café 東京 ", "  leading and trailing  ",
+}
+
+func FuzzCountTokensMatchesFields(f *testing.F) {
+	for _, s := range countTokensCases {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		n := len(strings.Fields(s))
+		if got, want := CountTokens(s), (n*4+2)/3; got != want {
+			t.Fatalf("CountTokens(%q) = %d, want %d (%d fields)", s, got, want, n)
+		}
+	})
+}
+
+// Every ASCII byte, between two letters, splits or joins words exactly
+// as strings.Fields decides.
+func TestCountTokensEveryASCIIByte(t *testing.T) {
+	for c := range 128 {
+		s := "ab" + string(rune(c)) + "cd"
+		if got, want := CountTokens(s), (len(strings.Fields(s))*4+2)/3; got != want {
+			t.Errorf("CountTokens(%q) = %d, want %d", s, got, want)
+		}
+	}
 }

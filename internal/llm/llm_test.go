@@ -27,6 +27,14 @@ func TestCountTokensRatio(t *testing.T) {
 	}
 }
 
+// TestCountTokensAllocFree pins the one-pass count: no word slice.
+func TestCountTokensAllocFree(t *testing.T) {
+	s := strings.Repeat("link a--b util\u00a0high ", 50)
+	if avg := testing.AllocsPerRun(50, func() { CountTokens(s) }); avg != 0 {
+		t.Fatalf("CountTokens allocates %.1f objects/op, want 0", avg)
+	}
+}
+
 func TestTruncateTokens(t *testing.T) {
 	t.Parallel()
 	text := "HEADER: keep\nLINE: one two three four five six\nTAIL: late context"

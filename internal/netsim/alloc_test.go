@@ -78,3 +78,31 @@ func TestRouteDAGForAllocs(t *testing.T) {
 		t.Fatalf("RouteDAGFor allocates %.1f objects/op, want at most 7", avg)
 	}
 }
+
+// A copy's first recompute starts warm from its source's engine. The
+// bounds sit just above today's counts (83 for a fork of the standard
+// world plus its first recompute, 63 for a what-if clone plus
+// recompute); a cold first pass, which resets every slab and re-runs
+// every flow's programs, reads 106 and 86.
+func TestForkRecomputeAllocs(t *testing.T) {
+	if !netsim.RouteCacheEnabled() {
+		t.Skip("route cache disabled")
+	}
+	scenarios.StandardWorld().Recompute()
+	avg := testing.AllocsPerRun(50, func() { scenarios.StandardWorld().Recompute() })
+	if avg > 85 {
+		t.Fatalf("fork + first Recompute allocates %.1f objects/op, want at most 85", avg)
+	}
+}
+
+func TestCloneRecomputeAllocs(t *testing.T) {
+	if !netsim.RouteCacheEnabled() {
+		t.Skip("route cache disabled")
+	}
+	w := scenarios.StandardWorld()
+	w.Recompute()
+	avg := testing.AllocsPerRun(50, func() { w.Clone().Recompute() })
+	if avg > 65 {
+		t.Fatalf("Clone + Recompute allocates %.1f objects/op, want at most 65", avg)
+	}
+}

@@ -150,11 +150,11 @@ func TestCloneRecomputeEquivalenceProperty(t *testing.T) {
 		if math.Abs(a.OverallLossRate()-b.OverallLossRate()) > 1e-12 {
 			return false
 		}
-		if len(a.LinkStats) != len(b.LinkStats) {
+		if len(a.Links) != len(b.Links) {
 			return false
 		}
-		for lid, ls := range a.LinkStats {
-			if math.Abs(ls.Utilization-b.LinkStats[lid].Utilization) > 1e-12 {
+		for i, ls := range a.Links {
+			if ls.Link != b.Links[i].Link || math.Abs(ls.Utilization-b.Links[i].Utilization) > 1e-12 {
 				return false
 			}
 		}

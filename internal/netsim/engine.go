@@ -1,5 +1,7 @@
 package netsim
 
+import "slices"
+
 // trafficEngine computes TrafficReports into reusable struct-of-arrays
 // slabs and, on consecutive computations over the same world, re-derives
 // only what actually changed since the previous pass:
@@ -22,6 +24,12 @@ package netsim
 // output is bit-for-bit what a from-scratch pass would produce. A
 // zero-value engine works and is what the free RouteTraffic uses; World
 // owns a persistent one.
+//
+// A copy of a world (World.Fork, World.Clone) starts warm: its engine
+// records the source world's engine and that engine's pass count, and
+// its first pass starts from copies of the source's slabs instead of a
+// reset (see warm), so it too re-derives only what the copy changed.
+// The copy is lazy, made on that first pass, and only reads the source.
 type trafficEngine struct {
 	net *Network
 	ot  *ordTable
@@ -52,19 +60,27 @@ type trafficEngine struct {
 	linkDirty  []bool    // per-link mark for the sparse accumulation path
 	dirtyLinks []int32
 
-	linkSlab []LinkStats
 	flowSlab []FlowStats
 	dp       []float64
 
 	// Service aggregation slabs: structs are reused across passes via a
-	// generation stamp and pruned when a service disappears.
+	// generation stamp (the pass count) and pruned when a service
+	// disappears.
 	svcList    []*ServiceStats
 	svcGen     []uint64
 	svcIdx     map[string]int
-	gen        uint64
 	svcTouched int
 
-	rep  TrafficReport
+	// pass counts route calls over the engine's lifetime; a reset does
+	// not rewind it, so an unchanged count means unchanged slabs.
+	pass uint64
+
+	// src is the engine a copy starts warm from, and srcPass its pass
+	// count when the copy was taken. The first route consumes them.
+	src     *trafficEngine
+	srcPass uint64
+
+	rep  TrafficReport // rep.Links is the per-link slab
 	full bool
 }
 
@@ -75,24 +91,58 @@ func (e *trafficEngine) reset(n *Network, ot *ordTable) {
 	e.lossDirty = make([]bool, 2*l)
 	e.linkDirty = make([]bool, l)
 	e.revCur = make([]int32, l)
-	e.linkSlab = make([]LinkStats, l)
 	e.dp = make([]float64, v)
 	e.rep = TrafficReport{
-		LinkStats:    make(map[LinkID]*LinkStats, l),
+		Links:        make([]LinkStats, l),
 		ServiceStats: make(map[string]*ServiceStats),
 		ot:           ot,
 		dirLoss:      make([]float64, 2*l),
 	}
 	for i, lid := range ot.linkIDs {
-		e.linkSlab[i].Link = lid
-		e.rep.LinkStats[lid] = &e.linkSlab[i]
+		e.rep.Links[i].Link = lid
 	}
 	e.svcList, e.svcGen = nil, nil
 	e.svcIdx = make(map[string]int)
-	e.gen = 0
 	e.flows = nil
 	e.revValid = false
 	e.full = true
+}
+
+// warm is the first pass's alternative to reset for a copy's engine: it
+// takes the source's last pass as this engine's previous one by copying
+// the slabs the incremental passes compare against (DAGs, demands,
+// contribution spans, loads, per-link and per-flow stats, directed
+// loss). Every later skip stays guarded by exact equality, so the bytes
+// are those of a reset. It reports false when there is no source or
+// its slabs no longer describe the copy's starting point: the source
+// routed since the copy, its topology generation differs, or its flow
+// set does. Service aggregates are rebuilt in full by every pass and
+// are not copied.
+func (e *trafficEngine) warm(n *Network, ot *ordTable, flows []*Flow) bool {
+	s := e.src
+	e.src = nil
+	if s == nil || s.pass != e.srcPass || s.ot != ot || len(s.flows) != len(flows) {
+		return false
+	}
+	for i, fl := range flows {
+		if s.flows[i].ID != fl.ID {
+			return false
+		}
+	}
+	e.reset(n, ot)
+	copy(e.load, s.load)
+	copy(e.rep.Links, s.rep.Links)
+	copy(e.rep.dirLoss, s.rep.dirLoss)
+	e.resize(len(flows))
+	copy(e.flows, flows)
+	copy(e.dags, s.dags)
+	copy(e.demands, s.demands)
+	copy(e.flowSlab, s.flowSlab)
+	e.contribOff = slices.Clone(s.contribOff)
+	e.contribDir = slices.Clone(s.contribDir)
+	e.contribFrac = slices.Clone(s.contribFrac)
+	e.full = false
+	return true
 }
 
 func (e *trafficEngine) resize(f int) {
@@ -111,7 +161,7 @@ func (e *trafficEngine) resize(f int) {
 // route is the engine entry point; see RouteTraffic for the model.
 func (e *trafficEngine) route(n *Network, flows []*Flow, sel PathSelector) *TrafficReport {
 	ot := n.ordTab()
-	if e.net != n || e.ot != ot {
+	if (e.net != n || e.ot != ot) && !e.warm(n, ot, flows) {
 		e.reset(n, ot)
 	}
 	_, linkPtrs := n.ptrTables()
@@ -170,7 +220,7 @@ func (e *trafficEngine) route(n *Network, flows []*Flow, sel PathSelector) *Traf
 	dirLoss := e.rep.dirLoss
 	for li := 0; li < l; li++ {
 		lk := linkPtrs[li]
-		ls := &e.linkSlab[li]
+		ls := &e.rep.Links[li]
 		ab, ba := e.load[2*li], e.load[2*li+1]
 		ls.Load.AB, ls.Load.BA = ab, ba
 		ls.Utilization = 0
@@ -202,7 +252,7 @@ func (e *trafficEngine) route(n *Network, flows []*Flow, sel PathSelector) *Traf
 	}
 
 	// Pass 3: per-flow dynamic programs where needed, aggregates in full.
-	e.gen++
+	e.pass++
 	e.svcTouched = 0
 	rep := &e.rep
 	rep.TotalDemand, rep.TotalDelivered = 0, 0
@@ -365,9 +415,9 @@ func (e *trafficEngine) svcFor(name string) *ServiceStats {
 		e.rep.ServiceStats[name] = e.svcList[idx]
 	}
 	ss := e.svcList[idx]
-	if e.svcGen[idx] != e.gen {
+	if e.svcGen[idx] != e.pass {
 		*ss = ServiceStats{Service: name}
-		e.svcGen[idx] = e.gen
+		e.svcGen[idx] = e.pass
 		e.svcTouched++
 	}
 	return ss
@@ -378,7 +428,7 @@ func (e *trafficEngine) pruneServices() {
 	kept := e.svcList[:0]
 	keptGen := e.svcGen[:0]
 	for i, ss := range e.svcList {
-		if e.svcGen[i] == e.gen {
+		if e.svcGen[i] == e.pass {
 			kept = append(kept, ss)
 			keptGen = append(keptGen, e.svcGen[i])
 			continue

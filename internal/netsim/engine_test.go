@@ -125,3 +125,117 @@ func TestFreeRouteTrafficMatchesWorldEngine(t *testing.T) {
 		t.Fatalf("world engine and free RouteTraffic disagree:\n got: %s\nwant: %s", got, want)
 	}
 }
+
+// TestWarmCopyMatchesFresh applies each delta class to a copy whose
+// engine starts warm from its source's, and diffs the copy's report
+// against a from-scratch pass. It covers Clone and Fork, a copy whose
+// source routed again before the copy's first pass (the copy must fall
+// back to a reset), and a copy of a copy that has not routed yet.
+func TestWarmCopyMatchesFresh(t *testing.T) {
+	deltas := []struct {
+		label string
+		apply func(w *World)
+	}{
+		{"none", func(*World) {}},
+		{"demand", func(w *World) { w.Flows()[0].DemandGbps = 90 }},
+		{"reroute", func(w *World) { w.Net.MutLink(MakeLinkID("a", "b")).Down = true }},
+		{"loss-only", func(w *World) { w.Net.MutLink(MakeLinkID("a", "c")).CorruptRate = 0.2 }},
+		{"loss cleared", func(w *World) { w.Net.MutLink(MakeLinkID("b", "d")).CorruptRate = 0 }},
+		{"overload", func(w *World) { w.Flows()[2].DemandGbps = 500 }},
+		{"node fault", func(w *World) { w.Net.MutNode("b").Healthy = false }},
+		{"flow added", func(w *World) {
+			w.AddFlows(&Flow{ID: "f4", Src: "a", Dst: "c", DemandGbps: 5, Service: "new"})
+		}},
+		{"flow removed", func(w *World) { w.RemoveFlowsByService("db") }},
+		{"flow replaced", func(w *World) {
+			w.RemoveFlowsByService("db")
+			w.AddFlows(&Flow{ID: "f5", Src: "c", Dst: "b", DemandGbps: 40, Service: "db"})
+		}},
+		{"structural growth", func(w *World) { w.Net.AddLink("a", "d", 100, 1) }},
+	}
+	copies := []struct {
+		label string
+		copy  func(*World) *World
+	}{
+		{"clone", (*World).Clone},
+		{"fork", func(w *World) *World { w.Net.Share(); return w.Fork() }},
+	}
+	base := func() *World {
+		w, n := engineWorld()
+		n.MutLink(MakeLinkID("b", "d")).CorruptRate = 0.05
+		w.Recompute()
+		return w
+	}
+	for _, cp := range copies {
+		for _, d := range deltas {
+			label := cp.label + "/" + d.label
+
+			c := cp.copy(base())
+			d.apply(c)
+			c.Invalidate()
+			checkEngine(t, c, label)
+			c.Flows()[0].DemandGbps++
+			c.Invalidate()
+			checkEngine(t, c, label+"/second pass")
+
+			src := base()
+			c = cp.copy(src)
+			src.Flows()[1].DemandGbps = 70
+			src.Invalidate()
+			src.Recompute()
+			d.apply(c)
+			c.Invalidate()
+			checkEngine(t, c, label+"/source routed since")
+
+			src = base()
+			mid := cp.copy(src)
+			c = cp.copy(mid)
+			d.apply(c)
+			c.Invalidate()
+			checkEngine(t, c, label+"/copy of a copy")
+		}
+	}
+}
+
+// TestWarmCopyFallback pins when a copy's first pass starts warm: only
+// while its source has not routed since the copy, over the same
+// topology generation and the same flow IDs.
+func TestWarmCopyFallback(t *testing.T) {
+	cases := []struct {
+		label string
+		prep  func(src, c *World)
+		warm  bool
+	}{
+		{"fresh copy", func(src, c *World) {}, true},
+		{"demand and link changes", func(src, c *World) {
+			c.Flows()[0].DemandGbps = 1
+			c.Net.MutLink(MakeLinkID("a", "b")).Down = true
+		}, true},
+		{"source routed since", func(src, c *World) { src.Invalidate(); src.Recompute() }, false},
+		{"flow added", func(src, c *World) {
+			c.AddFlows(&Flow{ID: "f4", Src: "a", Dst: "c", DemandGbps: 5, Service: "new"})
+		}, false},
+		{"flow replaced", func(src, c *World) {
+			c.RemoveFlowsByService("db")
+			c.AddFlows(&Flow{ID: "f5", Src: "c", Dst: "b", DemandGbps: 40, Service: "db"})
+		}, false},
+		{"topology grown", func(src, c *World) { c.Net.AddLink("a", "d", 100, 1) }, false},
+	}
+	for _, tc := range cases {
+		src, _ := engineWorld()
+		src.Recompute()
+		c := src.Clone()
+		tc.prep(src, c)
+		if got := c.engine.warm(c.Net, c.Net.ordTab(), c.Flows()); got != tc.warm {
+			t.Errorf("%s: warm = %v, want %v", tc.label, got, tc.warm)
+		}
+		if c.engine.src != nil {
+			t.Errorf("%s: the first pass did not drop its source", tc.label)
+		}
+	}
+	never, _ := engineWorld()
+	c := never.Clone()
+	if c.engine.warm(c.Net, c.Net.ordTab(), c.Flows()) {
+		t.Error("a copy of a world that never routed started warm")
+	}
+}

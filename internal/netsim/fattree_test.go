@@ -102,7 +102,7 @@ func TestFatTreeFullBisectionUnderECMP(t *testing.T) {
 		t.Fatalf("bisection traffic lost %.4f%%", loss*100)
 	}
 	worst := 0.0
-	for _, ls := range rep.LinkStats {
+	for _, ls := range rep.Links {
 		if ls.Utilization > worst {
 			worst = ls.Utilization
 		}

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 )
 
@@ -211,13 +210,8 @@ func reportSummary(r *TrafficReport) []string {
 		out = append(out, fmt.Sprintf("flow %s routed=%v loss=%v lat=%v",
 			fs.Flow.ID, fs.Routed, fs.LossRate, fs.LatencyMs))
 	}
-	var lids []string
-	for lid := range r.LinkStats {
-		lids = append(lids, string(lid))
-	}
-	sort.Strings(lids)
-	for _, lid := range lids {
-		out = append(out, fmt.Sprintf("link %s %+v", lid, *r.LinkStats[LinkID(lid)]))
+	for _, ls := range r.Links {
+		out = append(out, fmt.Sprintf("link %s %+v", ls.Link, ls))
 	}
 	return out
 }

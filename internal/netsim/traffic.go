@@ -221,7 +221,10 @@ type ServiceStats struct {
 }
 
 // TrafficReport is the result of routing a traffic matrix over the
-// network: the ground truth telemetry monitors sample from.
+// network: the ground truth telemetry monitors sample from. Links holds
+// one entry per link in link-ID order (the ordinal order of the
+// topology generation the report was computed over); LinkStat looks
+// one up by ID.
 //
 // Reports handed out by World.Report/Recompute are backed by reusable
 // per-world slabs: the report is valid until the next recompute on the
@@ -230,7 +233,7 @@ type ServiceStats struct {
 // slabs), so the reuse is invisible; holding a report across a
 // recompute of the same world is not supported.
 type TrafficReport struct {
-	LinkStats      map[LinkID]*LinkStats
+	Links          []LinkStats
 	FlowStats      []*FlowStats
 	ServiceStats   map[string]*ServiceStats
 	TotalDemand    float64
@@ -240,6 +243,16 @@ type TrafficReport struct {
 	// computed with; ProbeLossOverDAG reads it without map lookups.
 	ot      *ordTable
 	dirLoss []float64
+}
+
+// LinkStat returns the statistics of link id, or nil when the report's
+// topology has no such link.
+func (r *TrafficReport) LinkStat(id LinkID) *LinkStats {
+	o, ok := r.ot.linkOrd[id]
+	if !ok {
+		return nil
+	}
+	return &r.Links[o]
 }
 
 // forkTo returns a copy of r for a fork whose flows are to: the slab
@@ -274,9 +287,9 @@ func (r *TrafficReport) OverallLossRate() float64 {
 // descending utilization (ties by ID).
 func (r *TrafficReport) HotLinks(threshold float64) []*LinkStats {
 	var out []*LinkStats
-	for _, ls := range r.LinkStats {
-		if ls.Utilization >= threshold {
-			out = append(out, ls)
+	for i := range r.Links {
+		if r.Links[i].Utilization >= threshold {
+			out = append(out, &r.Links[i])
 		}
 	}
 	slices.SortFunc(out, func(a, b *LinkStats) int {
@@ -364,11 +377,11 @@ func ProbeLossOverDAG(dag *RouteDAG, rep *TrafficReport) float64 {
 		return clamp01(1 - dag.deliveredDense(rep.dirLoss, dp))
 	}
 	// Report and DAG come from different topology generations: resolve
-	// the DAG's directed links through the report's link map into a
-	// dense loss slice over the DAG's own ordinal table.
+	// the DAG's directed links by ID into a dense loss slice over the
+	// DAG's own ordinal table.
 	loss := make([]float64, 2*len(dag.ot.linkIDs))
 	for _, df := range dag.dirs {
-		ls := rep.LinkStats[dag.ot.linkIDs[df.dir>>1]]
+		ls := rep.LinkStat(dag.ot.linkIDs[df.dir>>1])
 		if ls == nil {
 			continue
 		}

@@ -15,7 +15,7 @@ func TestRouteTrafficNoOverload(t *testing.T) {
 	if rep.OverallLossRate() != 0 {
 		t.Errorf("loss = %v, want 0", rep.OverallLossRate())
 	}
-	ls := rep.LinkStats[MakeLinkID("a", "b")]
+	ls := rep.LinkStat(MakeLinkID("a", "b"))
 	if ls.Load.AB != 50 || ls.Load.BA != 0 {
 		t.Errorf("directed load = %+v, want AB=50", ls.Load)
 	}
@@ -37,8 +37,8 @@ func TestRouteTrafficOverloadLoss(t *testing.T) {
 	if got := rep.FlowStats[0].LossRate; math.Abs(got-want) > 1e-9 {
 		t.Errorf("flow loss = %v, want %v", got, want)
 	}
-	if rep.LinkStats[MakeLinkID("a", "b")].Utilization != 2.0 {
-		t.Errorf("util = %v, want 2.0", rep.LinkStats[MakeLinkID("a", "b")].Utilization)
+	if rep.LinkStat(MakeLinkID("a", "b")).Utilization != 2.0 {
+		t.Errorf("util = %v, want 2.0", rep.LinkStat(MakeLinkID("a", "b")).Utilization)
 	}
 }
 
@@ -48,7 +48,7 @@ func TestRouteTrafficECMPSplits(t *testing.T) {
 	flows := []*Flow{{ID: "f1", Src: "a", Dst: "d", DemandGbps: 100, Service: "web"}}
 	rep := RouteTraffic(n, flows, nil)
 	for _, lid := range []LinkID{MakeLinkID("a", "b"), MakeLinkID("a", "c")} {
-		if got := rep.LinkStats[lid].Load.Max(); got != 50 {
+		if got := rep.LinkStat(lid).Load.Max(); got != 50 {
 			t.Errorf("link %s load = %v, want 50 (ECMP split)", lid, got)
 		}
 	}
@@ -181,7 +181,7 @@ func TestTrafficConservationProperty(t *testing.T) {
 				return false
 			}
 		}
-		for _, ls := range rep.LinkStats {
+		for _, ls := range rep.Links {
 			if ls.LossRate < 0 || ls.LossRate > 1 {
 				return false
 			}
@@ -204,8 +204,8 @@ func TestUtilizationMonotoneProperty(t *testing.T) {
 		extra := float64(extraRaw)
 		flows := []*Flow{{ID: "f", Src: "a", Dst: "d", DemandGbps: 30 + extra, Service: "p"}}
 		rep := RouteTraffic(n, flows, nil)
-		for lid, ls := range rep.LinkStats {
-			if ls.Utilization < repBase.LinkStats[lid].Utilization-1e-9 {
+		for i, ls := range rep.Links {
+			if ls.Utilization < repBase.Links[i].Utilization-1e-9 {
 				return false
 			}
 		}

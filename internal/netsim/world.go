@@ -93,8 +93,9 @@ type World struct {
 
 	// engine is this world's persistent traffic engine: it owns the
 	// report slabs and re-derives only what changed between recomputes.
-	// Clones and forks get a fresh zero-value engine via NewWorld; its
-	// first pass is a full one.
+	// Clones and forks start theirs warm from this one (see
+	// trafficEngine.warm): their first pass is incremental unless this
+	// world recomputes first.
 	engine trafficEngine
 
 	schedule []scheduledEvent
@@ -403,6 +404,7 @@ func (w *World) copyWorld(net *Network, fork bool) *World {
 	maps.Copy(c.faults, w.faults)
 	c.Changes = w.Changes.Clone()
 	c.events = append(c.events, w.events...)
+	c.engine.src, c.engine.srcPass = &w.engine, w.engine.pass
 	if !fork {
 		return c
 	}

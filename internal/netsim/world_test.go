@@ -61,8 +61,8 @@ func TestWorldHealthyBaseline(t *testing.T) {
 
 func wanLoad(w *World, rep *TrafficReport, wan string) float64 {
 	var total float64
-	for lid, ls := range rep.LinkStats {
-		l := w.Net.Link(lid)
+	for _, ls := range rep.Links {
+		l := w.Net.Link(ls.Link)
 		aw := w.Net.Node(l.A).WANName
 		bw := w.Net.Node(l.B).WANName
 		if aw == wan && bw == wan {

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -261,5 +263,52 @@ func TestNoLogEmitAllocatesLikeCollect(t *testing.T) {
 	emit := testing.AllocsPerRun(200, func() { s.Emit(e) })
 	if emit > collect {
 		t.Fatalf("Emit allocates %.1f per event, Collect alone %.1f", emit, collect)
+	}
+}
+
+// fprintfRender is the fmt rendering Labels.render replaced; the
+// series keys must stay byte-identical to it.
+func fprintfRender(l Labels) string {
+	keys := make([]string, 0, len(l))
+	for k := range l {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "%s=%q", k, l[k])
+	}
+	return b.String()
+}
+
+func TestLabelsRenderMatchesFprintf(t *testing.T) {
+	cases := []Labels{
+		nil,
+		{},
+		{"runner": "assisted-helper"},
+		{"tool": "pingmesh", "disposition": "ok"},
+		{"z": "1", "a": "2", "m": "3", "b": "4", "y": "5", "c": "6"}, // more keys than the stack buffer
+		{"q": `say "hi"`, "bs": `a\b\\c`, "nl": "line\nbreak\ttab"},
+		{"u": "naïve 東京   ", "bad": "\xff\xfe", "ctl": "\x00\x7f"},
+		{"long": strings.Repeat("x", 300)},
+	}
+	for _, l := range cases {
+		if got, want := l.render(), fprintfRender(l); got != want {
+			t.Errorf("render(%v) = %q, want %q", l, got, want)
+		}
+	}
+}
+
+// A tool-call event read 13 allocations in Collect while labels were
+// rendered through fmt; now each label set costs one block string.
+func TestCollectToolCallAllocs(t *testing.T) {
+	e := Event{Type: EvToolCall, Tool: "pingmesh", Disposition: "ok", Latency: time.Minute}
+	reg := NewAIOpsRegistry()
+	Collect(reg, e)
+	if avg := testing.AllocsPerRun(200, func() { Collect(reg, e) }); avg > 2 {
+		t.Fatalf("Collect of a tool-call event allocates %.1f objects, want at most 2", avg)
 	}
 }

@@ -3,9 +3,9 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -34,24 +34,32 @@ func (k metricKind) String() string {
 // equal label sets always produce the same series.
 type Labels map[string]string
 
-// render produces the canonical `k1="v1",k2="v2"` block (no braces).
+// render produces the canonical `k1="v1",k2="v2"` block (no braces):
+// keys sorted, each value quoted as strconv.Quote does (fmt's %q on a
+// string). Label sets have a handful of keys, so the keys and the
+// block are gathered in stack buffers and the block string is the only
+// allocation.
 func (l Labels) render() string {
 	if len(l) == 0 {
 		return ""
 	}
-	keys := make([]string, 0, len(l))
+	var keyBuf [4]string
+	keys := keyBuf[:0]
 	for k := range l {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
+	slices.Sort(keys)
+	var buf [128]byte
+	b := buf[:0]
 	for i, k := range keys {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", k, l[k])
+		b = append(b, k...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l[k])
 	}
-	return b.String()
+	return string(b)
 }
 
 // family is one declared metric: name, help text, kind, and (for

@@ -222,7 +222,7 @@ func Execute(q Query, w *netsim.World) ([]Row, error) {
 	case Links:
 		rep := w.Report()
 		for _, l := range w.Net.Links() {
-			ls := rep.LinkStats[l.ID]
+			ls := rep.LinkStat(l.ID)
 			rows = append(rows, Row{
 				Fields: []string{"id", "util", "loss", "capacity", "down", "isolated"},
 				Values: []string{

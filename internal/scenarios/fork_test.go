@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"io"
 	"maps"
 	"reflect"
 	"slices"
@@ -44,9 +45,20 @@ func worldDigest(w *netsim.World) string {
 	fmt.Fprintf(h, "events %+v\nchanges %+v\n", w.Events(), w.Changes.All())
 	hits, misses := w.Net.RouteCacheStats()
 	fmt.Fprintf(h, "cache %d %d\n", hits, misses)
-	rep := w.Report()
-	for _, l := range w.Net.Links() {
-		fmt.Fprintf(h, "ls %+v\n", *rep.LinkStats[l.ID])
+	writeReport(h, w.Report())
+	if r := telemetry.RecorderOf(w); r != nil {
+		for _, k := range r.Keys() {
+			fmt.Fprintf(h, "series %s %v\n", k, r.Range(k, 0, w.Clock.Now()))
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// writeReport writes every field of a traffic report to h: link stats
+// in link-ID order, flow stats, service stats by name and the totals.
+func writeReport(h io.Writer, rep *netsim.TrafficReport) {
+	for _, ls := range rep.Links {
+		fmt.Fprintf(h, "ls %+v\n", ls)
 	}
 	for _, fs := range rep.FlowStats {
 		var transit []netsim.NodeID
@@ -59,12 +71,20 @@ func worldDigest(w *netsim.World) string {
 		fmt.Fprintf(h, "ss %+v\n", *rep.ServiceStats[svc])
 	}
 	fmt.Fprintf(h, "totals %v %v\n", rep.TotalDemand, rep.TotalDelivered)
-	if r := telemetry.RecorderOf(w); r != nil {
-		for _, k := range r.Keys() {
-			fmt.Fprintf(h, "series %s %v\n", k, r.Range(k, 0, w.Clock.Now()))
-		}
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// reportProbe is a trigger that never fires: it digests every traffic
+// report its world computes, in order. What-if clones copy triggers,
+// so a session's risk assessments are recorded too.
+type reportProbe struct{ steps *[]string }
+
+func (reportProbe) ID() string { return "~report-probe" } // sorts after every scenario trigger
+
+func (p reportProbe) Fire(_ *netsim.World, rep *netsim.TrafficReport) bool {
+	h := sha256.New()
+	writeReport(h, rep)
+	*p.steps = append(*p.steps, fmt.Sprintf("%x", h.Sum(nil)))
+	return false
 }
 
 func forkTestRunners() []harness.ObservedRunner {
@@ -85,14 +105,21 @@ type sessionRun struct {
 	events       []byte
 	hits, misses int64
 	world        string
+	steps        []string // per-report digests; probed runs only
 }
 
-func runSession(t *testing.T, sc scenarios.Scenario, r harness.ObservedRunner, seed int64, fresh bool) sessionRun {
+// runSession runs one session on a fresh world or a fork. A probed run
+// installs a reportProbe after the build; installing it discards the
+// world's report, so the first recompute routes through the engine.
+func runSession(t *testing.T, sc scenarios.Scenario, r harness.ObservedRunner, seed int64, fresh, probe bool) sessionRun {
 	t.Helper()
 	scenarios.SetFreshWorlds(fresh)
 	scenarios.SetIncidentSeq(0)
 	in := sc.Build(randsrc.New(seed))
 	run := sessionRun{incident: *in.Incident}
+	if probe {
+		in.World.AddTrigger(reportProbe{steps: &run.steps})
+	}
 	rec := obs.NewRecorder("s")
 	run.result = r.RunObserved(in, seed, rec)
 	var buf bytes.Buffer
@@ -110,7 +137,10 @@ func runSession(t *testing.T, sc scenarios.Scenario, r harness.ObservedRunner, s
 // freshly built world and once on a fork, must produce the same
 // incident, result, event-stream bytes, route-cache counters and final
 // world state — with the route cache on, and again after turning it off
-// in the same process.
+// in the same process. A second, probed pair of runs compares every
+// traffic report the session computes, what-if clones included: the
+// fork's engine starts warm from the template's and each clone's from
+// its world's, so each step must equal the fresh build's step.
 //
 // It sets process-wide switches, so it must not call t.Parallel.
 func TestForkMatchesFreshBuild(t *testing.T) {
@@ -123,8 +153,8 @@ func TestForkMatchesFreshBuild(t *testing.T) {
 			for seed := int64(1); seed <= 3; seed++ {
 				for _, r := range runners {
 					name := fmt.Sprintf("cache=%v/%s/seed=%d/%s", cache, sc.Name(), seed, r.Name())
-					fresh := runSession(t, sc, r, seed, true)
-					fork := runSession(t, sc, r, seed, false)
+					fresh := runSession(t, sc, r, seed, true, false)
+					fork := runSession(t, sc, r, seed, false, false)
 					if !reflect.DeepEqual(fresh.incident, fork.incident) {
 						t.Errorf("%s: incident differs:\nfresh %+v\nfork  %+v", name, fresh.incident, fork.incident)
 					}
@@ -140,6 +170,14 @@ func TestForkMatchesFreshBuild(t *testing.T) {
 					}
 					if fresh.world != fork.world {
 						t.Errorf("%s: final world state differs", name)
+					}
+					freshSteps := runSession(t, sc, r, seed, true, true).steps
+					forkSteps := runSession(t, sc, r, seed, false, true).steps
+					if len(freshSteps) == 0 {
+						t.Errorf("%s: probe recorded no reports", name)
+					}
+					if !slices.Equal(freshSteps, forkSteps) {
+						t.Errorf("%s: per-step reports differ (fresh %d steps, fork %d)", name, len(freshSteps), len(forkSteps))
 					}
 				}
 			}

@@ -15,7 +15,6 @@ package telemetry
 import (
 	"cmp"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sort"
 	"time"
@@ -140,41 +139,49 @@ type LinkUtilSample struct {
 	CapacityGbps float64
 }
 
-// LinkUtilMonitor reports per-link utilization, optionally with reading
-// noise (SNMP counters are rarely exact).
+// LinkUtilMonitor reports per-link utilization.
 type LinkUtilMonitor struct {
-	World    *netsim.World
-	NoisePct float64    // +/- relative noise applied to readings
-	Rng      *rand.Rand // required when NoisePct > 0
+	World *netsim.World
 }
 
 // Broken reports whether the world marks this monitor malfunctioning.
 func (m *LinkUtilMonitor) Broken() bool { return m.World.BrokenMonitors[MonitorLinkUtil] }
 
-// Top returns the k most utilized links, descending. A broken collector
-// returns no rows (stale, empty dashboard).
+// compareUtil orders samples by utilization descending, then link ID:
+// a total order, since link IDs are unique.
+func compareUtil(a, b LinkUtilSample) int {
+	if c := cmp.Compare(b.Utilization, a.Utilization); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Link, b.Link)
+}
+
+// Top returns the k most utilized links, descending (every link when
+// k <= 0). A broken collector returns no rows (stale, empty dashboard).
+// It keeps a k-sized buffer in compareUtil order rather than sorting
+// every link, and reads capacity only for the winners.
 func (m *LinkUtilMonitor) Top(k int) []LinkUtilSample {
 	if m.Broken() {
 		return nil
 	}
-	rep := m.World.Report()
-	out := make([]LinkUtilSample, 0, len(rep.LinkStats))
-	for lid, ls := range rep.LinkStats {
-		l := m.World.Net.Link(lid)
-		s := LinkUtilSample{Link: lid, Utilization: ls.Utilization, LossRate: ls.LossRate, CapacityGbps: l.CapacityGbps}
-		if m.NoisePct > 0 && m.Rng != nil {
-			s.Utilization *= 1 + m.NoisePct*(2*m.Rng.Float64()-1)
-		}
-		out = append(out, s)
+	links := m.World.Report().Links
+	if k <= 0 || k > len(links) {
+		k = len(links)
 	}
-	slices.SortFunc(out, func(a, b LinkUtilSample) int {
-		if c := cmp.Compare(b.Utilization, a.Utilization); c != 0 {
-			return c // utilization descending
+	out := make([]LinkUtilSample, 0, k)
+	for i := range links {
+		s := LinkUtilSample{Link: links[i].Link, Utilization: links[i].Utilization, LossRate: links[i].LossRate}
+		if len(out) == k && compareUtil(s, out[k-1]) >= 0 {
+			continue
 		}
-		return cmp.Compare(a.Link, b.Link)
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
+		at, _ := slices.BinarySearchFunc(out, s, compareUtil)
+		if len(out) == k {
+			out = out[:k-1]
+		}
+		out = slices.Insert(out, at, s)
+	}
+	for i := range out {
+		out[i].CapacityGbps = m.World.Net.Link(out[i].Link).CapacityGbps
 	}
 	return out
 }
@@ -185,9 +192,8 @@ func (m *LinkUtilMonitor) Utilization(id netsim.LinkID) (LinkUtilSample, bool) {
 	if m.Broken() {
 		return LinkUtilSample{}, false
 	}
-	rep := m.World.Report()
-	ls, ok := rep.LinkStats[id]
-	if !ok {
+	ls := m.World.Report().LinkStat(id)
+	if ls == nil {
 		return LinkUtilSample{}, false
 	}
 	l := m.World.Net.Link(id)
@@ -254,10 +260,10 @@ func (m *CounterMonitor) Drops() []DropCounter {
 	}
 	rep := m.World.Report()
 	var out []DropCounter
-	for lid, ls := range rep.LinkStats {
+	for _, ls := range rep.Links {
 		d := ls.Load.AB*ls.LossAB + ls.Load.BA*ls.LossBA
 		if d > 1e-9 {
-			out = append(out, DropCounter{Link: lid, DropGbps: d})
+			out = append(out, DropCounter{Link: ls.Link, DropGbps: d})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -1,7 +1,8 @@
 package telemetry
 
 import (
-	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -90,25 +91,40 @@ func TestLinkUtilTopSorted(t *testing.T) {
 	}
 }
 
-func TestLinkUtilNoiseBounded(t *testing.T) {
-	t.Parallel()
-	w := testWorld()
-	m := &LinkUtilMonitor{World: w, NoisePct: 0.05, Rng: rand.New(rand.NewSource(1))}
-	clean := &LinkUtilMonitor{World: w}
-	noisy := m.Top(5)
-	exact := clean.Top(0)
-	byLink := map[netsim.LinkID]float64{}
-	for _, s := range exact {
-		byLink[s.Link] = s.Utilization
+// sortAllTop is the sort-every-link reference Top must match.
+func sortAllTop(w *netsim.World, k int) []LinkUtilSample {
+	var out []LinkUtilSample
+	for _, ls := range w.Report().Links {
+		out = append(out, LinkUtilSample{Link: ls.Link, Utilization: ls.Utilization, LossRate: ls.LossRate,
+			CapacityGbps: w.Net.Link(ls.Link).CapacityGbps})
 	}
-	for _, s := range noisy {
-		base := byLink[s.Link]
-		if base == 0 {
-			continue
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Utilization != out[j].Utilization {
+			return out[i].Utilization > out[j].Utilization
 		}
-		rel := s.Utilization/base - 1
-		if rel < -0.051 || rel > 0.051 {
-			t.Fatalf("noise %.3f outside +/-5%%", rel)
+		return out[i].Link < out[j].Link
+	})
+	if k > 0 && len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+// TestLinkUtilTopMatchesSortAll pins the top-k buffer to the full sort
+// at every k, on a healthy world (many links tied at zero utilization)
+// and an overloaded one.
+func TestLinkUtilTopMatchesSortAll(t *testing.T) {
+	t.Parallel()
+	healthy := testWorld()
+	faulted := testWorld()
+	faulted.Inject(&netsim.ConfigInconsistencyFault{WAN: "B4", Prefix: "10.0.0.0/16", Clusters: []string{"us-west", "eu-north"}})
+	for name, w := range map[string]*netsim.World{"healthy": healthy, "faulted": faulted} {
+		m := &LinkUtilMonitor{World: w}
+		n := len(w.Report().Links)
+		for k := -1; k <= n+2; k++ {
+			if got, want := m.Top(k), sortAllTop(w, k); !slices.Equal(got, want) {
+				t.Fatalf("%s: Top(%d) = %v, want %v", name, k, got, want)
+			}
 		}
 	}
 }

@@ -194,7 +194,7 @@ func (t *CountersTool) Invoke(w *netsim.World, _ map[string]string) (Result, err
 		drops := mon.Drops()
 		rep := w.Report()
 		for _, d := range drops {
-			ls := rep.LinkStats[d.Link]
+			ls := rep.LinkStat(d.Link)
 			if ls == nil {
 				continue
 			}
