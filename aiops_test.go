@@ -38,7 +38,7 @@ func TestSystemTrace(t *testing.T) {
 			t.Errorf("trace missing %q", want)
 		}
 	}
-	if len(trace.Events) == 0 || len(trace.Display()) == 0 {
+	if len(trace.Events) == 0 || trace.String() == "" {
 		t.Error("structured trace carries no events")
 	}
 }

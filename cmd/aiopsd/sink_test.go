@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -82,11 +84,19 @@ func TestDaemonSinkExports(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		events, err := obs.ReadEventLog(f)
-		f.Close()
-		if err != nil {
-			t.Fatal(err)
+		var events []obs.Event
+		dec := json.NewDecoder(f)
+		dec.DisallowUnknownFields()
+		for {
+			var e obs.Event
+			if err := dec.Decode(&e); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			events = append(events, e)
 		}
+		f.Close()
 		seen := map[string]int{}
 		for i, e := range events {
 			if e.Seq != int64(i+1) {

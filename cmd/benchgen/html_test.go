@@ -1,9 +1,8 @@
 package main
 
 // Golden test for the HTML report benchgen writes with -html: the
-// bytes must be a pure function of the report data. The footer stamp
-// is caller-injected (eval.HTMLReport.When), never the wall clock, so
-// two runs of the same experiments produce identical files.
+// bytes must be a pure function of the report data, with no wall-clock
+// stamp, so two runs of the same experiments produce identical files.
 
 import (
 	"bytes"
@@ -55,7 +54,7 @@ func TestHTMLReportGolden(t *testing.T) {
 }
 
 // TestHTMLReportDeterministic renders twice and pins the absence of any
-// wall-clock footer: same bytes, no "generated" stamp unless injected.
+// wall-clock footer: same bytes, no "generated" stamp.
 func TestHTMLReportDeterministic(t *testing.T) {
 	t.Parallel()
 	var a, b bytes.Buffer
@@ -69,15 +68,6 @@ func TestHTMLReportDeterministic(t *testing.T) {
 		t.Fatal("two renders of the same report differ")
 	}
 	if strings.Contains(a.String(), "generated ") {
-		t.Error("report carries a generation stamp without When being set")
-	}
-	stamped := buildDemoReport()
-	stamped.When = "seed 42 run"
-	var c bytes.Buffer
-	if err := stamped.WriteHTML(&c); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(c.String(), "generated seed 42 run") {
-		t.Error("injected When stamp missing from footer")
+		t.Error("report carries a generation stamp")
 	}
 }

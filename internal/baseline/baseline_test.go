@@ -122,7 +122,11 @@ func TestOneShotPredictVotes(t *testing.T) {
 func TestRunTSGScriptAndLLMEquivalentOutcome(t *testing.T) {
 	t.Parallel()
 	kbase := kb.Default()
-	tsg, _ := kbase.TSGByID("tsg-device-down")
+	guides := kbase.TSGForSymptom(kb.CDeviceDown)
+	if len(guides) != 1 || guides[0].ID != "tsg-device-down" {
+		t.Fatalf("device-down guides = %+v", guides)
+	}
+	tsg := guides[0]
 
 	// Script path.
 	inScript := (&scenarios.DeviceFailure{}).Build(rand.New(rand.NewSource(5)))

@@ -200,11 +200,3 @@ type Outcome struct {
 	// cost).
 	LLMUsage llm.Meter
 }
-
-// DeepestConfirmed returns the last confirmed concept, or "".
-func (o *Outcome) DeepestConfirmed() string {
-	if len(o.Confirmed) == 0 {
-		return ""
-	}
-	return o.Confirmed[len(o.Confirmed)-1]
-}

@@ -58,7 +58,7 @@ func TestHelperSolvesEveryKnownScenario(t *testing.T) {
 				if out.LLMUsage.Calls == 0 {
 					t.Error("no LLM usage metered")
 				}
-				if len(NewSessionTrace(out).Display()) == 0 {
+				if NewSessionTrace(out).String() == "" {
 					t.Error("empty trace")
 				}
 			}
@@ -222,13 +222,6 @@ func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Beam != 3 || c.MaxRounds != 12 || c.RiskBudget != 0.5 || c.EvidenceWindow != 30 || c.StallLimit != 3 {
 		t.Errorf("defaults = %+v", c)
-	}
-	if (&Outcome{}).DeepestConfirmed() != "" {
-		t.Error("empty outcome deepest confirmed")
-	}
-	o := &Outcome{Confirmed: []string{"a", "b"}}
-	if o.DeepestConfirmed() != "b" {
-		t.Error("deepest confirmed wrong")
 	}
 }
 

@@ -48,17 +48,6 @@ func NewSessionTrace(out *Outcome) SessionTrace {
 	return SessionTrace{Events: out.Events}
 }
 
-// Display returns only the events that render in the CLI trace.
-func (t SessionTrace) Display() []obs.Event {
-	var out []obs.Event
-	for _, e := range t.Events {
-		if displayKinds[e.Type] {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // String renders the trace for CLI display: one line per display event
 // with its simulated time, round, kind and detail.
 func (t SessionTrace) String() string {

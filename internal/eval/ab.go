@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -199,69 +198,6 @@ func resample(xs []float64, rng *rand.Rand) float64 {
 	return sum / float64(len(xs))
 }
 
-// RunMatrix evaluates several runners over the same incident stream
-// (paired, not randomized): every runner sees identical incidents. Used
-// by the comparative experiments (E2, E3, E9) where pairing removes
-// incident-mix variance entirely. Trials run on the parallel pool
-// (workers <= 0 means GOMAXPROCS); each trial rebuilds its instance per
-// runner from the same seed, and aggregation happens in stream order,
-// so the matrix is identical at any worker count.
-func RunMatrix(n, workers int, mix []scenarios.Scenario, seed int64, runners ...harness.Runner) map[string]*ArmStats {
-	return RunMatrixObserved(n, workers, mix, seed, nil, runners...)
-}
-
-// RunMatrixObserved is RunMatrix with per-trial event capture into sink
-// (nil sink: identical to RunMatrix). Each trial's runners share one
-// recorder, absorbed in stream order.
-func RunMatrixObserved(n, workers int, mix []scenarios.Scenario, seed int64, sink *obs.Sink, runners ...harness.Runner) map[string]*ArmStats {
-	if len(mix) == 0 {
-		mix = scenarios.All()
-	}
-	rng := randsrc.New(seed)
-	out := make(map[string]*ArmStats, len(runners))
-	for _, r := range runners {
-		out[r.Name()] = &ArmStats{Name: r.Name()}
-	}
-	type draw struct {
-		sc   scenarios.Scenario
-		seed int64
-	}
-	draws := make([]draw, n)
-	for i := range draws {
-		draws[i] = draw{sc: mix[rng.Intn(len(mix))], seed: rng.Int63()}
-	}
-	var recs []*obs.Recorder
-	if sink != nil {
-		recs = make([]*obs.Recorder, n)
-	}
-	trials := parallel.RunTrials(n, workers, seed, func(_ int64, i int) []harness.Result {
-		var o obs.Observer
-		if recs != nil {
-			rec := obs.AcquireRecorder(fmt.Sprintf("matrix/%04d", i))
-			recs[i] = rec
-			o = rec
-		}
-		row := make([]harness.Result, len(runners))
-		for j, r := range runners {
-			row[j] = harness.BuildAndRunObserved(r, draws[i].sc, draws[i].seed, o)
-		}
-		return row
-	})
-	for _, rec := range recs {
-		sink.Absorb(rec)
-		rec.Release()
-	}
-	for _, tr := range trials {
-		if tr.Err != nil {
-			continue
-		}
-		for j, r := range runners {
-			out[r.Name()].add(tr.Value[j])
-		}
-	}
-	return out
-}
-
 // RenderABReport renders the abtest CLI report — the arm comparison, the
 // significance tests, and the verdict line — exactly as the command has
 // always printed it. Factoring the rendering here lets golden tests pin
@@ -290,7 +226,3 @@ func RenderABReport(res *ABResult) string {
 	}
 	return b.String()
 }
-
-// MinutesOf converts a duration to float minutes; tiny readability
-// helper used by reports.
-func MinutesOf(d time.Duration) float64 { return d.Minutes() }

@@ -7,8 +7,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/harness"
 	"repro/internal/kb"
-	"repro/internal/replayer"
-	"repro/internal/scenarios"
 )
 
 func currentKB() *kb.KB {
@@ -58,34 +56,6 @@ func TestABSameArmNotSignificant(t *testing.T) {
 	res := eval.ABTest(eval.ABConfig{N: 120, Seed: 2}, mk(), mk())
 	if res.SignificantAt(0.05) {
 		t.Errorf("identical arms called significant: welch p=%v mw p=%v", res.Welch.P, res.MannWhitney.P)
-	}
-}
-
-func TestRunMatrixPairsIncidents(t *testing.T) {
-	t.Parallel()
-	kbase := currentKB()
-	hist := replayer.Generate(replayer.Options{N: 40, Seed: 3}).History
-	stats := eval.RunMatrix(20, 4, []scenarios.Scenario{&scenarios.GrayLink{}}, 3,
-		&harness.HelperRunner{Label: "helper", KBase: kbase, Config: core.DefaultConfig(), History: hist},
-		&harness.OneShotRunner{Label: "oneshot", History: hist, KBase: kbase},
-	)
-	if len(stats) != 2 {
-		t.Fatalf("stats for %d runners", len(stats))
-	}
-	for name, s := range stats {
-		if s.N != 20 {
-			t.Errorf("%s saw %d incidents, want 20 (paired)", name, s.N)
-		}
-		if s.MitigationRate() < 0.5 {
-			t.Errorf("%s mitigation rate %.2f on gray-link", name, s.MitigationRate())
-		}
-	}
-	// The helper should accumulate tokens; the one-shot none.
-	if stats["helper"].Tokens == 0 {
-		t.Error("helper tokens not accounted")
-	}
-	if stats["oneshot"].Tokens != 0 {
-		t.Error("one-shot should not consume LLM tokens")
 	}
 }
 

@@ -13,11 +13,6 @@ type HTMLReport struct {
 	Title    string
 	Subtitle string
 	Sections []HTMLSection
-	// When, if set, appears in the footer as the generation stamp. It
-	// is injected by the caller — never read from the wall clock — so
-	// the rendered bytes stay a pure function of the report data and
-	// report.html is goldenable. Empty omits the footer line.
-	When string
 }
 
 // HTMLSection groups tables under one experiment heading.
@@ -54,8 +49,7 @@ pre { background: #f7f7f7; border: 1px solid #ddd; padding: 0.8rem; overflow-x: 
 </table>
 {{end}}
 {{end}}
-{{if .When}}<p class="sub">generated {{.When}}</p>
-{{end}}</body></html>
+</body></html>
 `))
 
 // WriteHTML renders the report.

@@ -37,9 +37,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(n-1)
 }
 
-// Std returns the sample standard deviation.
-func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Percentile returns the p-th percentile (0..100) by linear
 // interpolation; it copies and sorts the input.
 func Percentile(xs []float64, p float64) float64 {
@@ -242,27 +239,6 @@ func normalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// BootstrapCI returns the (lo, hi) percentile bootstrap confidence
-// interval for the mean of xs at the given confidence level (e.g. 0.95).
-func BootstrapCI(xs []float64, confidence float64, iters int, rng *rand.Rand) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	if iters <= 0 {
-		iters = 2000
-	}
-	means := make([]float64, iters)
-	for i := 0; i < iters; i++ {
-		var sum float64
-		for j := 0; j < len(xs); j++ {
-			sum += xs[rng.Intn(len(xs))]
-		}
-		means[i] = sum / float64(len(xs))
-	}
-	alpha := (1 - confidence) / 2 * 100
-	return Percentile(means, alpha), Percentile(means, 100-alpha)
-}
-
 // PermutationTest returns the two-sided p-value for the difference of
 // means between a and b under random relabeling.
 func PermutationTest(a, b []float64, iters int, rng *rand.Rand) float64 {
@@ -299,27 +275,4 @@ func CohensD(a, b []float64) float64 {
 		return 0
 	}
 	return (Mean(a) - Mean(b)) / math.Sqrt(pooled)
-}
-
-// WilsonCI returns the Wilson score interval for a binomial proportion
-// (successes k of n) at ~95% confidence. Preferable to the normal
-// approximation for the small-n mitigation-rate comparisons §3 needs.
-func WilsonCI(k, n int) (lo, hi float64) {
-	if n == 0 {
-		return 0, 1
-	}
-	const z = 1.959964
-	p := float64(k) / float64(n)
-	nn := float64(n)
-	denom := 1 + z*z/nn
-	center := (p + z*z/(2*nn)) / denom
-	half := z * math.Sqrt(p*(1-p)/nn+z*z/(4*nn*nn)) / denom
-	lo, hi = center-half, center+half
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
 }

@@ -691,16 +691,6 @@ var Registry = []Experiment{
 	{"e18", "adaptive learning loop: verified vs always-ingest corpus promotion (extension)", E18AdaptiveLoop},
 }
 
-// ByID returns the registered experiment, or nil.
-func ByID(id string) func(Params) []*eval.Table {
-	for _, e := range Registry {
-		if e.ID == id {
-			return e.Run
-		}
-	}
-	return nil
-}
-
 // ---------------------------------------------------------------------------
 // E10 — fleet-level operations (extension): queueing under load.
 // ---------------------------------------------------------------------------

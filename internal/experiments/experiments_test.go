@@ -207,8 +207,10 @@ func TestRegistryComplete(t *testing.T) {
 	if len(Registry) != 18 {
 		t.Fatalf("registry has %d experiments", len(Registry))
 	}
-	if ByID("e2") == nil || ByID("e18") == nil || ByID("nope") != nil {
-		t.Fatal("ByID broken")
+	for i, e := range Registry {
+		if want := "e" + strconv.Itoa(i+1); e.ID != want || e.Run == nil {
+			t.Fatalf("registry entry %d is %q (run set: %v), want %s", i, e.ID, e.Run != nil, want)
+		}
 	}
 }
 

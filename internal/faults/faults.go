@@ -179,28 +179,21 @@ type Injector struct {
 	calls   map[string]int          // per-tool invocation counter
 	cache   map[string]tools.Result // last clean result per tool, for stale serves
 	actions int                     // mitigation-action counter
-
-	injected map[Class]int // injected-fault tally, for tests and reports
 }
 
 // NewInjector builds the injector for one trial. The schedule depends
 // only on (cfg.Seed, trialSeed) — not on scheduling or worker count.
 func NewInjector(cfg Config, trialSeed int64) *Injector {
 	return &Injector{
-		cfg:      cfg,
-		base:     parallel.DeriveSeed(cfg.Seed^trialSeed, 0),
-		calls:    make(map[string]int),
-		cache:    make(map[string]tools.Result),
-		injected: make(map[Class]int),
+		cfg:   cfg,
+		base:  parallel.DeriveSeed(cfg.Seed^trialSeed, 0),
+		calls: make(map[string]int),
+		cache: make(map[string]tools.Result),
 	}
 }
 
 // Config returns the injector's configuration.
 func (inj *Injector) Config() Config { return inj.cfg }
-
-// Injected reports how many faults of the class this injector has
-// served so far.
-func (inj *Injector) Injected(c Class) int { return inj.injected[c] }
 
 // fnv64a hashes a string for schedule keying (FNV-1a).
 func fnv64a(s string) uint64 {
@@ -309,11 +302,7 @@ func (f *faultyTool) Invoke(w *netsim.World, args map[string]string) (tools.Resu
 	call := f.inj.calls[name]
 	f.inj.calls[name] = call + 1
 
-	class := f.inj.ClassAt(name, call, w.Clock.Now())
-	if class != None {
-		f.inj.injected[class]++
-	}
-	switch class {
+	switch f.inj.ClassAt(name, call, w.Clock.Now()) {
 	case Transient:
 		return tools.Result{}, fmt.Errorf("faults: %s: transient RPC failure (injected)", name)
 	case Timeout:

@@ -187,13 +187,6 @@ func (s HTTPSchedule) SendChaos(addr, path, apiKey string, body []byte, class HT
 	return readStatus(conn)
 }
 
-// SendChaos is the schedule-free form: one chaos request with the
-// default 30s conversation deadline. Harnesses with their own timeout
-// budget call the HTTPSchedule method instead.
-func SendChaos(addr, path, apiKey string, body []byte, class HTTPClass, bodyCap int) (int, error) {
-	return HTTPSchedule{}.SendChaos(addr, path, apiKey, body, class, bodyCap)
-}
-
 // readStatus parses the status code off an HTTP/1.x response and drains
 // the rest.
 func readStatus(conn net.Conn) (int, error) {

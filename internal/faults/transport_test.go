@@ -54,7 +54,7 @@ func TestSendChaosClasses(t *testing.T) {
 		{HTTPDrop, 0, false},
 	}
 	for _, tc := range cases {
-		code, err := SendChaos(addr, "/v1/incidents", "k", body, tc.class, 1024)
+		code, err := HTTPSchedule{}.SendChaos(addr, "/v1/incidents", "k", body, tc.class, 1024)
 		if err != nil {
 			t.Fatalf("%v: SendChaos: %v", tc.class, err)
 		}

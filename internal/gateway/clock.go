@@ -81,13 +81,6 @@ type WallClock struct {
 	scale  time.Duration // simulated time per wall second
 }
 
-// NewWallClock starts a wall clock at simulated time zero with the
-// given scale (simulated time per wall second; <= 0 means one
-// simulated minute per wall second).
-func NewWallClock(scale time.Duration) *WallClock {
-	return NewWallClockAt(0, scale)
-}
-
 // NewWallClockAt starts a wall clock at the given simulated offset —
 // the journal-recovery path: a restarted daemon resumes the simulated
 // timeline from the journal's high-water mark instead of time zero, so

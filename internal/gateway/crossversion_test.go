@@ -39,11 +39,11 @@ func TestLegacyJournalReplaysIntoShardedScheduler(t *testing.T) {
 	}
 	var raw []byte
 	for _, r := range legacy {
-		line, err := journal.Encode(r)
+		payload, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw = append(raw, line...)
+		raw = append(raw, journal.EncodeFrame(payload)...)
 	}
 	if err := os.WriteFile(filepath.Join(dir, journal.FileName), raw, 0o644); err != nil {
 		t.Fatal(err)

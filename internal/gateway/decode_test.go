@@ -165,7 +165,7 @@ func TestSimClock(t *testing.T) {
 // scale monotonically.
 func TestWallClock(t *testing.T) {
 	t.Parallel()
-	c := NewWallClock(time.Minute)
+	c := NewWallClockAt(0, time.Minute)
 	a := c.Now()
 	time.Sleep(10 * time.Millisecond)
 	b := c.Now()

@@ -68,7 +68,6 @@ import (
 	"io"
 	"net/http"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -932,14 +931,4 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, _ string) 
 			return
 		}
 	}
-}
-
-// Callers returns the configured caller names, sorted (diagnostics).
-func (s *Server) Callers() []string {
-	out := make([]string, 0, len(s.cfg.Keys))
-	for _, name := range s.cfg.Keys {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -407,7 +407,7 @@ func TestWallClockModeProgresses(t *testing.T) {
 	// incident resolves within a few real milliseconds.
 	gw := NewServer(Config{
 		Keys:  map[string]string{"k": "tester"},
-		Clock: NewWallClock(5000 * time.Minute), Sched: sched, Runner: runner, Seed: 7,
+		Clock: NewWallClockAt(0, 5000*time.Minute), Sched: sched, Runner: runner, Seed: 7,
 	})
 	ts := httptest.NewServer(gw.Handler())
 	defer ts.Close()
@@ -441,7 +441,7 @@ func TestSimEndpointsGated(t *testing.T) {
 	sched := fleet.NewSharded(fleet.ShardedLiveConfig{OCEs: 1, RunnerName: runner.Name()})
 	gw := NewServer(Config{
 		Keys:  map[string]string{"k": "tester"},
-		Clock: NewWallClock(0), Sched: sched, Runner: runner, Seed: 7,
+		Clock: NewWallClockAt(0, 0), Sched: sched, Runner: runner, Seed: 7,
 	})
 	ts := httptest.NewServer(gw.Handler())
 	defer ts.Close()

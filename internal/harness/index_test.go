@@ -84,10 +84,14 @@ func TestSharedRunnersWorkerIndependent(t *testing.T) {
 		trials := parallel.RunTrials(8, workers, 21, func(s int64, i int) harness.Result {
 			return harness.BuildAndRun(runners[i%2], scs[(i/2)%2], s)
 		})
-		if err := parallel.FirstErr(trials); err != nil {
-			t.Fatal(err)
+		out := make([]harness.Result, len(trials))
+		for i, tr := range trials {
+			if tr.Err != nil {
+				t.Fatal(tr.Err)
+			}
+			out[i] = tr.Value
 		}
-		return parallel.Values(trials)
+		return out
 	}
 	four, one := run(4), run(1)
 	if !reflect.DeepEqual(four, one) {

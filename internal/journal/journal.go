@@ -99,15 +99,6 @@ type Record struct {
 	Note   string `json:"note,omitempty"`
 }
 
-// Encode renders one record as its checksummed journal line.
-func Encode(r Record) ([]byte, error) {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encode: %w", err)
-	}
-	return EncodeFrame(payload), nil
-}
-
 // Decode scans data for journal records. It returns every record up to
 // the first torn or corrupt point, the byte offset of the last clean
 // record boundary, and how many trailing lines (or partial lines) were

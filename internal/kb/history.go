@@ -128,17 +128,6 @@ func (h *History) ByID(id string) (IncidentRecord, bool) {
 	return h.records[i], true
 }
 
-// WithRootCause returns records whose root cause is the given concept.
-func (h *History) WithRootCause(concept string) []IncidentRecord {
-	var out []IncidentRecord
-	for _, r := range h.All() {
-		if r.RootCause == concept {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // WithMitigation returns records whose applied mitigation satisfies every
 // requirement in need — the conditional TTM estimator (§3) conditions on
 // this set.

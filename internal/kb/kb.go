@@ -3,7 +3,7 @@
 // linking concepts ("link overload causes packet loss"); troubleshooting
 // guides (TSGs); and the component registry.
 //
-// The knowledge base is versioned. A helper holding an old snapshot is
+// The knowledge base is versioned. A helper holding an old version is
 // the paper's "stale iterative helper" (Fig. 3): when operators deploy a
 // new protocol they append rules describing its behaviour — not
 // end-to-end incident samples — and only helpers that pick up the new
@@ -53,8 +53,7 @@ type Rule struct {
 	Team     string
 	Note     string
 
-	// AddedVersion is the KB version that introduced the rule; snapshots
-	// at older versions exclude it.
+	// AddedVersion is the KB version that introduced the rule.
 	AddedVersion int
 }
 
@@ -188,36 +187,10 @@ func (k *KB) AddRule(r Rule) {
 	k.rules[r.ID] = r
 }
 
-// RemoveRule deletes a rule (teams retire stale knowledge).
-func (k *KB) RemoveRule(id string) {
-	r, ok := k.rules[id]
-	if !ok {
-		return
-	}
-	delete(k.rules, id)
-	k.byEffect[r.Effect] = removeID(k.byEffect[r.Effect], id)
-	k.byCause[r.Cause] = removeID(k.byCause[r.Cause], id)
-}
-
-func removeID(ids []string, id string) []string {
-	out := ids[:0]
-	for _, x := range ids {
-		if x != id {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
 // CausesOf returns rules whose effect is the given concept, sorted by
 // descending strength then ID — the hypothesis former's raw material.
 func (k *KB) CausesOf(effect string) []Rule {
 	return k.sortedRules(k.byEffect[effect])
-}
-
-// EffectsOf returns rules whose cause is the given concept.
-func (k *KB) EffectsOf(cause string) []Rule {
-	return k.sortedRules(k.byCause[cause])
 }
 
 func (k *KB) sortedRules(ids []string) []Rule {
@@ -270,12 +243,6 @@ func (k *KB) AddTSG(t *TSG) {
 	k.tsgs[t.ID] = t
 }
 
-// TSGByID returns a guide by ID.
-func (k *KB) TSGByID(id string) (*TSG, bool) {
-	t, ok := k.tsgs[id]
-	return t, ok
-}
-
 // TSGForSymptom returns guides applying to the symptom concept, sorted by ID.
 func (k *KB) TSGForSymptom(symptom string) []*TSG {
 	var out []*TSG
@@ -315,31 +282,6 @@ func (k *KB) Dependents(name string) []Component {
 
 // History exposes the incident history store attached to this KB.
 func (k *KB) History() *History { return k.history }
-
-// Snapshot returns a copy of the KB as it looked at the given version:
-// rules added later are absent. Concepts, TSGs and components are shared
-// structure (they carry their own versions). A stale helper reasons over
-// a snapshot.
-func (k *KB) Snapshot(version int) *KB {
-	s := New()
-	s.version = version
-	for id, c := range k.concepts {
-		s.concepts[id] = c
-	}
-	for _, r := range k.Rules() {
-		if r.AddedVersion <= version {
-			s.AddRule(r)
-		}
-	}
-	for id, t := range k.tsgs {
-		s.tsgs[id] = t
-	}
-	for n, c := range k.components {
-		s.components[n] = c
-	}
-	s.history = k.history
-	return s
-}
 
 // Mitigations returns the mitigation templates for a cause concept.
 func (k *KB) Mitigations(concept string) []mitigation.Action {

@@ -39,9 +39,7 @@ type Message struct {
 
 // Request is a chat-completion request.
 type Request struct {
-	Messages    []Message
-	MaxTokens   int     // completion budget; 0 = model default
-	Temperature float64 // overrides the model's configured temperature when > 0
+	Messages []Message
 }
 
 // Text renders the request as the flat prompt the model consumes.

@@ -134,29 +134,6 @@ func TestFormHypothesesInContextRule(t *testing.T) {
 	}
 }
 
-func TestFineTunePicksUpNewKnowledge(t *testing.T) {
-	t.Parallel()
-	base := kb.Default()
-	m := NewSimLLM(base.Snapshot(1), 1)
-	updated := kb.Default()
-	kb.ApplyFastpathUpdate(updated)
-	cost := m.FineTune(updated)
-	if cost <= 0 {
-		t.Fatal("fine-tune reported no cost")
-	}
-	ctx := PromptContext{Symptoms: []string{kb.CPacketLoss}, Confirmed: []string{kb.CDeviceDown, kb.CDeviceOSCrash}}
-	resp, _ := m.Complete(BuildFormHypotheses(ctx, 5))
-	found := false
-	for _, h := range ParseHypotheses(resp.Content) {
-		if h.Concept == kb.CProtocolBug {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("fine-tuned model missing new knowledge")
-	}
-}
-
 func TestPlanTest(t *testing.T) {
 	t.Parallel()
 	m := newModel(t)

@@ -14,10 +14,10 @@ import (
 )
 
 // SimLLM simulates an instruction-following LLM for incident management.
-// Its "weights" are a knowledge-base snapshot (fine-tuning swaps the
-// snapshot); RULE lines in the prompt act as in-context learning for a
-// single call. See the package comment for why this substitution is
-// faithful to the paper's setting.
+// Its "weights" are a knowledge base (a fine-tuned model is one built
+// over the updated base); RULE lines in the prompt act as in-context
+// learning for a single call. See the package comment for why this
+// substitution is faithful to the paper's setting.
 type SimLLM struct {
 	ModelName string
 	KBase     *kb.KB
@@ -74,19 +74,6 @@ func (m *SimLLM) Name() string { return m.ModelName }
 
 // ContextWindow implements Model.
 func (m *SimLLM) ContextWindow() int { return m.Window }
-
-// FineTune swaps the model's knowledge snapshot — the paper's "pays an
-// up-front cost" adaptation path. The returned token count is the
-// modeled training cost (proportional to corpus size).
-func (m *SimLLM) FineTune(kbase *kb.KB) int {
-	m.KBase = kbase
-	cost := 0
-	for _, r := range kbase.Rules() {
-		cost += CountTokens(r.Cause+" "+r.Effect+" "+r.Note) + 8
-	}
-	m.Meter.Prompt += cost
-	return cost
-}
 
 // fabricatedCauses is what hallucinated hypotheses look like: plausible
 // jargon with no grounding in the deployment.

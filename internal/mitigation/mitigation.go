@@ -293,10 +293,11 @@ func parseFraction(s string) (float64, error) {
 // Verifier checks whether the incident impact is gone after mitigation.
 type Verifier struct {
 	World *netsim.World
-	// LossBudget is the residual demand-weighted loss considered
-	// mitigated (SLAs tolerate small residuals). Default 0.5%.
-	LossBudget float64
 }
+
+// lossBudget is the residual demand-weighted loss considered mitigated
+// (SLAs tolerate small residuals).
+const lossBudget = 0.005
 
 // Mitigated recomputes traffic and reports whether every service's loss
 // is within budget and no device is wedged-unhealthy (isolated devices
@@ -304,16 +305,12 @@ type Verifier struct {
 // rather than in aggregate matters: a small service blackholed behind
 // huge bulk flows barely moves the overall rate.
 func (v *Verifier) Mitigated() bool {
-	budget := v.LossBudget
-	if budget == 0 {
-		budget = 0.005
-	}
 	rep := v.World.Recompute()
-	if rep.OverallLossRate() > budget {
+	if rep.OverallLossRate() > lossBudget {
 		return false
 	}
 	for svc, ss := range rep.ServiceStats {
-		if ss.LossRate > budget {
+		if ss.LossRate > lossBudget {
 			return false
 		}
 		// Latency SLO: a mitigation that leaves a service far above its
@@ -328,15 +325,4 @@ func (v *Verifier) Mitigated() bool {
 		}
 	}
 	return true
-}
-
-// ServiceMitigated reports whether one service's loss is within budget.
-func (v *Verifier) ServiceMitigated(service string) bool {
-	budget := v.LossBudget
-	if budget == 0 {
-		budget = 0.005
-	}
-	rep := v.World.Recompute()
-	ss := rep.ServiceStats[service]
-	return ss == nil || ss.LossRate <= budget
 }

@@ -82,7 +82,13 @@ func TestExecutorIsolation(t *testing.T) {
 		t.Fatal("unknown link accepted")
 	}
 	// Mitigations are recorded as changes.
-	if got := len(w.Changes.ByKind(netsim.ChangeMitigation)); got != 2 {
+	got := 0
+	for _, r := range w.Changes.All() {
+		if r.Kind == netsim.ChangeMitigation {
+			got++
+		}
+	}
+	if got != 2 {
 		t.Errorf("change log has %d mitigation records, want 2", got)
 	}
 }
@@ -258,12 +264,6 @@ func TestVerifier(t *testing.T) {
 	w.Inject(&netsim.ConfigInconsistencyFault{WAN: "B4", Prefix: "10.0.0.0/16", Clusters: []string{"us-west", "eu-north"}})
 	if v.Mitigated() {
 		t.Fatal("cascade world reported mitigated")
-	}
-	if v.ServiceMitigated("bulk") {
-		t.Fatal("bulk service reported mitigated during cascade")
-	}
-	if !v.ServiceMitigated("no-such-service") {
-		t.Fatal("unknown service should be vacuously mitigated")
 	}
 	// A wedged device blocks mitigation even without loss; isolating it
 	// is an accepted mitigation.

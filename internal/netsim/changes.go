@@ -105,16 +105,5 @@ func (c *ChangeLog) Since(t time.Duration) []ChangeRecord {
 	return out
 }
 
-// ByKind returns records of the given kind, ordered by time then ID.
-func (c *ChangeLog) ByKind(kind ChangeKind) []ChangeRecord {
-	var out []ChangeRecord
-	for _, r := range c.All() {
-		if r.Kind == kind {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Len reports the number of records.
 func (c *ChangeLog) Len() int { return len(c.records) }

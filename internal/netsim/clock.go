@@ -48,6 +48,3 @@ func (c *Clock) Advance(d time.Duration) {
 // OnAdvance registers a hook called after every advance with the new
 // time. Hooks must not advance the clock themselves.
 func (c *Clock) OnAdvance(h func(time.Duration)) { c.hooks = append(c.hooks, h) }
-
-// Reset rewinds the clock to zero. Used between independent trials.
-func (c *Clock) Reset() { c.now = 0 }

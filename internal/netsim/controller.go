@@ -173,9 +173,6 @@ func (c *Controller) Override(wan string, healthy bool) { c.overrides[wan] = hea
 // ClearOverride removes an operator override for the WAN.
 func (c *Controller) ClearOverride(wan string) { delete(c.overrides, wan) }
 
-// WANFailed reports the controller's current belief about the WAN.
-func (c *Controller) WANFailed(wan string) bool { return c.failedWANs[wan] }
-
 // FailedWANs lists WANs the controller currently believes are failed.
 func (c *Controller) FailedWANs() []string {
 	out := make([]string, 0, len(c.failedWANs))

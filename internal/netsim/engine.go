@@ -158,7 +158,13 @@ func (e *trafficEngine) resize(f int) {
 	}
 }
 
-// route is the engine entry point; see RouteTraffic for the model.
+// route is the engine entry point. It routes every flow over its ECMP
+// DAG subject to the selector's per-flow constraints, accumulates
+// directed link load, and derives loss from capacity overload plus link
+// corruption. The loss model is the standard fluid approximation: a
+// directed link with offered load L on capacity C drops fraction
+// max(0, (L-C)/L); a flow's delivered fraction is computed exactly over
+// its ECMP DAG.
 func (e *trafficEngine) route(n *Network, flows []*Flow, sel PathSelector) *TrafficReport {
 	ot := n.ordTab()
 	if (e.net != n || e.ot != ot) && !e.warm(n, ot, flows) {

@@ -1,9 +1,89 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
+
+// The k-ary fat-tree is a test fixture: the standard world is Clos
+// fabrics joined by WANs, and the tests below use the fat-tree for the
+// ECMP properties only a many-way equal-cost fabric shows (a 4-way
+// spread over cores, full bisection under ECMP, rerouting around a dead
+// core).
+
+// FatTreeConfig parameterizes a canonical k-ary fat-tree (Al-Fares et
+// al.): k pods, each with k/2 edge and k/2 aggregation switches, and
+// (k/2)^2 core switches; every edge switch serves k/2 hosts. All
+// switch-to-switch links share one capacity, giving full bisection
+// bandwidth under ECMP.
+type FatTreeConfig struct {
+	Region       string
+	K            int     // pod parameter; must be even and >= 2
+	LinkGbps     float64 // switch-to-switch capacity
+	HostLinkGbps float64
+}
+
+// DefaultFatTreeConfig returns a k=4 fat-tree (16 hosts, 20 switches).
+func DefaultFatTreeConfig(region string) FatTreeConfig {
+	return FatTreeConfig{Region: region, K: 4, LinkGbps: 40, HostLinkGbps: 10}
+}
+
+// FatTree records the built layout.
+type FatTree struct {
+	Cores []NodeID
+	Aggs  []NodeID // pod-major order
+	Edges []NodeID // pod-major order
+	Hosts []NodeID
+}
+
+// BuildFatTree adds a k-ary fat-tree to the network and returns its
+// layout. Node IDs follow "<region>-ft-core-<i>", "<region>-ft-agg-p<p>-<i>",
+// "<region>-ft-edge-p<p>-<i>", "<region>-ft-host-p<p>-e<i>-h<j>".
+func BuildFatTree(n *Network, cfg FatTreeConfig) *FatTree {
+	if cfg.K < 2 || cfg.K%2 != 0 {
+		panic(fmt.Sprintf("netsim: fat-tree k must be even and >= 2, got %d", cfg.K))
+	}
+	half := cfg.K / 2
+	ft := &FatTree{}
+
+	for c := 0; c < half*half; c++ {
+		id := NodeID(fmt.Sprintf("%s-ft-core-%d", cfg.Region, c))
+		n.AddNode(Node{ID: id, Kind: KindSpine, Region: cfg.Region, Pod: -1, OSVersion: "sw-os-4.2"})
+		ft.Cores = append(ft.Cores, id)
+	}
+	for p := 0; p < cfg.K; p++ {
+		var podAggs []NodeID
+		for a := 0; a < half; a++ {
+			id := NodeID(fmt.Sprintf("%s-ft-agg-p%d-%d", cfg.Region, p, a))
+			n.AddNode(Node{ID: id, Kind: KindAgg, Region: cfg.Region, Pod: p, OSVersion: "sw-os-4.2"})
+			podAggs = append(podAggs, id)
+			ft.Aggs = append(ft.Aggs, id)
+			// Agg a connects to core group [a*half, (a+1)*half).
+			for c := a * half; c < (a+1)*half; c++ {
+				n.AddLink(id, ft.Cores[c], cfg.LinkGbps, 0.05)
+			}
+		}
+		for e := 0; e < half; e++ {
+			eid := NodeID(fmt.Sprintf("%s-ft-edge-p%d-%d", cfg.Region, p, e))
+			n.AddNode(Node{ID: eid, Kind: KindToR, Region: cfg.Region, Pod: p, OSVersion: "sw-os-4.1"})
+			ft.Edges = append(ft.Edges, eid)
+			for _, aid := range podAggs {
+				n.AddLink(eid, aid, cfg.LinkGbps, 0.02)
+			}
+			for h := 0; h < half; h++ {
+				hid := NodeID(fmt.Sprintf("%s-ft-host-p%d-e%d-h%d", cfg.Region, p, e, h))
+				n.AddNode(Node{ID: hid, Kind: KindHost, Region: cfg.Region, Pod: p})
+				n.AddLink(hid, eid, cfg.HostLinkGbps, 0.01)
+				ft.Hosts = append(ft.Hosts, hid)
+			}
+		}
+	}
+	return ft
+}
+
+// NumHosts returns the host count of a k-ary fat-tree: k^3/4.
+func (f *FatTree) NumHosts() int { return len(f.Hosts) }
 
 func TestFatTreeCounts(t *testing.T) {
 	t.Parallel()

@@ -237,9 +237,6 @@ func (n *Network) MutLink(id LinkID) *Link {
 	return cp
 }
 
-// LinkBetween returns the link connecting a and b, or nil if none exists.
-func (n *Network) LinkBetween(a, b NodeID) *Link { return n.links[MakeLinkID(a, b)] }
-
 // NumNodes reports the number of nodes.
 func (n *Network) NumNodes() int { return len(n.nodes) }
 
@@ -272,17 +269,6 @@ func (n *Network) linksSorted() []*Link {
 	return lp
 }
 
-// NodesByKind returns all nodes of the given kind, sorted by ID.
-func (n *Network) NodesByKind(kind NodeKind) []*Node {
-	var out []*Node
-	for _, nd := range n.Nodes() {
-		if nd.Kind == kind {
-			out = append(out, nd)
-		}
-	}
-	return out
-}
-
 // NodesInRegion returns all nodes in the given region, sorted by ID.
 func (n *Network) NodesInRegion(region string) []*Node {
 	var out []*Node
@@ -303,13 +289,6 @@ func (n *Network) Regions() []string {
 		}
 	}
 	return slices.Sorted(maps.Keys(seen))
-}
-
-// IncidentLinks returns the IDs of links adjacent to id, sorted.
-func (n *Network) IncidentLinks(id NodeID) []LinkID {
-	out := make([]LinkID, len(n.adj[id]))
-	copy(out, n.adj[id])
-	return out
 }
 
 // Share marks n's maps and structs as shared copy-on-write state, as

@@ -16,10 +16,6 @@ func TestClockAdvance(t *testing.T) {
 	if got, want := c.Now(), 5*time.Minute+30*time.Second; got != want {
 		t.Fatalf("Now() = %v, want %v", got, want)
 	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Fatalf("after Reset, Now() = %v, want 0", c.Now())
-	}
 }
 
 func TestClockNegativeAdvancePanics(t *testing.T) {
@@ -82,11 +78,8 @@ func TestAddLinkValidation(t *testing.T) {
 	if l.ID != MakeLinkID("a", "b") {
 		t.Errorf("link ID = %q", l.ID)
 	}
-	if n.LinkBetween("b", "a") != l {
-		t.Error("LinkBetween not symmetric")
-	}
-	if got := l.Other("a"); got != "b" {
-		t.Errorf("Other(a) = %q, want b", got)
+	if n.Link(MakeLinkID("b", "a")) != l {
+		t.Error("link ID not symmetric")
 	}
 	defer func() {
 		if recover() == nil {
@@ -94,17 +87,6 @@ func TestAddLinkValidation(t *testing.T) {
 		}
 	}()
 	n.AddLink("a", "zzz", 1, 1)
-}
-
-func TestLinkOtherPanicsOnNonEndpoint(t *testing.T) {
-	t.Parallel()
-	l := Link{ID: "a--b", A: "a", B: "b"}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Other on non-endpoint did not panic")
-		}
-	}()
-	l.Other("c")
 }
 
 func TestNetworkQueries(t *testing.T) {
@@ -125,9 +107,6 @@ func TestNetworkQueries(t *testing.T) {
 	regions := n.Regions()
 	if len(regions) != 2 || regions[0] != "east" || regions[1] != "west" {
 		t.Errorf("Regions() = %v", regions)
-	}
-	if got := len(n.IncidentLinks("s1")); got != 2 {
-		t.Errorf("IncidentLinks(s1) = %d, want 2", got)
 	}
 	if n.NumNodes() != 3 || n.NumLinks() != 2 {
 		t.Errorf("counts = %d/%d, want 3/2", n.NumNodes(), n.NumLinks())
@@ -167,7 +146,7 @@ func TestCloneIsDeep(t *testing.T) {
 	// Structural growth on the clone stays private too.
 	c.AddNode(Node{ID: "z"})
 	c.AddLink("a", "z", 10, 1)
-	if n.Node("z") != nil || n.LinkBetween("a", "z") != nil {
+	if n.Node("z") != nil || n.Link(MakeLinkID("a", "z")) != nil {
 		t.Error("clone topology growth leaked into original")
 	}
 }

@@ -118,18 +118,6 @@ type Link struct {
 // endpoints are usable is the Network's concern.
 func (l *Link) Usable() bool { return !l.Down && !l.Isolated }
 
-// Other returns the endpoint of l that is not id. It panics if id is not
-// an endpoint of l.
-func (l *Link) Other(id NodeID) NodeID {
-	switch id {
-	case l.A:
-		return l.B
-	case l.B:
-		return l.A
-	}
-	panic(fmt.Sprintf("netsim: node %q is not an endpoint of link %q", id, l.ID))
-}
-
 // clone returns a copy of the link.
 func (l *Link) clone() *Link {
 	c := *l

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -181,7 +182,7 @@ func TestRouteCacheControllerReroute(t *testing.T) {
 	ctl.Announce(PrefixAnnouncement{Prefix: "10.0.0.0/8", WAN: "B4", Cluster: "us-east"})
 	ctl.Announce(PrefixAnnouncement{Prefix: "10.0.0.0/8", WAN: "B4", Cluster: "eu-north"})
 	ctl.Evaluate()
-	if !ctl.WANFailed("B4") {
+	if !slices.Contains(ctl.FailedWANs(), "B4") {
 		t.Fatal("setup: B4 should be believed failed")
 	}
 	if d := RouteFlowDAG(n, f, ctl); !dagUses(d, "w2") || dagUses(d, "w4") {

@@ -81,7 +81,6 @@ type WANConfig struct {
 // BackboneConfig parameterizes the multi-region, dual-WAN deployment.
 type BackboneConfig struct {
 	Regions           []string
-	Clos              func(region string) ClosConfig // per-region fabric; nil uses DefaultClosConfig
 	WANs              []WANConfig
 	GatewaysPerRegion int
 }
@@ -121,10 +120,6 @@ func BuildBackbone(n *Network, cfg BackboneConfig) *Backbone {
 	if cfg.GatewaysPerRegion <= 0 {
 		cfg.GatewaysPerRegion = 2
 	}
-	closFor := cfg.Clos
-	if closFor == nil {
-		closFor = DefaultClosConfig
-	}
 	bb := &Backbone{
 		Regions:    append([]string(nil), cfg.Regions...),
 		Gateways:   make(map[string][]NodeID),
@@ -136,7 +131,7 @@ func BuildBackbone(n *Network, cfg BackboneConfig) *Backbone {
 
 	spinesByRegion := make(map[string][]NodeID)
 	for _, region := range cfg.Regions {
-		spines := BuildClos(n, closFor(region))
+		spines := BuildClos(n, DefaultClosConfig(region))
 		spinesByRegion[region] = spines
 		for g := 0; g < cfg.GatewaysPerRegion; g++ {
 			gid := NodeID(fmt.Sprintf("%s-gw-%d", region, g))
@@ -175,6 +170,3 @@ func BuildBackbone(n *Network, cfg BackboneConfig) *Backbone {
 	}
 	return bb
 }
-
-// GatewayRegion maps a node to its region's gateway set; helper for tests.
-func (b *Backbone) GatewayRegion(region string) []NodeID { return b.Gateways[region] }

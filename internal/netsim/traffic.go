@@ -174,14 +174,6 @@ type DirLoad struct {
 	AB, BA float64
 }
 
-// Max returns the larger directional load.
-func (d DirLoad) Max() float64 {
-	if d.AB >= d.BA {
-		return d.AB
-	}
-	return d.BA
-}
-
 // LinkStats is the per-link outcome of routing a traffic matrix.
 type LinkStats struct {
 	Link        LinkID
@@ -311,22 +303,6 @@ type PathSelector interface {
 	// FilterFor returns the transit-node filter to route flow f under,
 	// or nil for no constraint.
 	FilterFor(f *Flow) NodeFilter
-}
-
-// RouteTraffic routes every flow over its ECMP DAG subject to the
-// selector's per-flow constraints, accumulates directed link load, and
-// derives loss from capacity overload plus link corruption.
-//
-// The loss model is the standard fluid approximation: a directed link
-// with offered load L on capacity C drops fraction max(0, (L-C)/L); a
-// flow's delivered fraction is computed exactly over its ECMP DAG.
-//
-// This entry point builds a fresh report through an ephemeral engine;
-// worlds route through their own persistent engine (see engine.go),
-// which reuses slabs and re-derives only what changed between ticks.
-func RouteTraffic(n *Network, flows []*Flow, sel PathSelector) *TrafficReport {
-	var e trafficEngine
-	return e.route(n, flows, sel)
 }
 
 func clamp01(x float64) float64 {

@@ -48,7 +48,7 @@ func TestRouteTrafficECMPSplits(t *testing.T) {
 	flows := []*Flow{{ID: "f1", Src: "a", Dst: "d", DemandGbps: 100, Service: "web"}}
 	rep := RouteTraffic(n, flows, nil)
 	for _, lid := range []LinkID{MakeLinkID("a", "b"), MakeLinkID("a", "c")} {
-		if got := rep.LinkStat(lid).Load.Max(); got != 50 {
+		if got := max(rep.LinkStat(lid).Load.AB, rep.LinkStat(lid).Load.BA); got != 50 {
 			t.Errorf("link %s load = %v, want 50 (ECMP split)", lid, got)
 		}
 	}

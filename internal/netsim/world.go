@@ -191,23 +191,6 @@ func (w *World) AddFlows(flows ...*Flow) {
 	w.report = nil
 }
 
-// RemoveFlowsByService drops all flows with the given service label and
-// reports how many were removed.
-func (w *World) RemoveFlowsByService(service string) int {
-	kept := w.flows[:0]
-	removed := 0
-	for _, f := range w.flows {
-		if f.Service == service {
-			removed++
-			continue
-		}
-		kept = append(kept, f)
-	}
-	w.flows = kept
-	w.report = nil
-	return removed
-}
-
 // Flows returns the live flow set (callers must not mutate demand without
 // calling Invalidate).
 func (w *World) Flows() []*Flow { return w.flows }
@@ -330,16 +313,6 @@ func (w *World) Resolve(id string) {
 	f.Revert(w)
 	delete(w.faults, id)
 	w.report = nil
-}
-
-// ActiveFaults lists IDs of unresolved faults, sorted.
-func (w *World) ActiveFaults() []string {
-	out := make([]string, 0, len(w.faults))
-	for id := range w.faults {
-		out = append(out, id)
-	}
-	slices.Sort(out)
-	return out
 }
 
 // FaultActive reports whether the fault with the given ID is unresolved.

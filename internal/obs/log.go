@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -21,31 +20,4 @@ func WriteEventLog(w io.Writer, events []Event) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadEventLog decodes a JSON-lines event log written by WriteEventLog.
-// Blank lines are skipped; a malformed line fails with its line number.
-func ReadEventLog(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		raw := bytes.TrimSpace(sc.Bytes())
-		if len(raw) == 0 {
-			continue
-		}
-		var e Event
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&e); err != nil {
-			return nil, fmt.Errorf("obs: event log line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

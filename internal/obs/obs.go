@@ -183,10 +183,6 @@ type Recorder struct {
 	Events []Event
 }
 
-// NewRecorder builds a recorder that stamps the session label onto every
-// buffered event.
-func NewRecorder(session string) *Recorder { return &Recorder{Session: session} }
-
 // recorderPool recycles Recorders (and, more importantly, their event
 // buffers) across trials: the parallel harnesses allocate one recorder
 // per trial, and the buffers grow to hundreds of events.

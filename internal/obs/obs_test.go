@@ -20,7 +20,7 @@ func TestNilObserverEmitIsNoOp(t *testing.T) {
 
 func TestRecorderStampsSessionAndRunner(t *testing.T) {
 	t.Parallel()
-	rec := NewRecorder("trial-7")
+	rec := AcquireRecorder("trial-7")
 	o := WithRunner(rec, "iterative-helper")
 	o.Emit(Event{Type: EvToolCall, Tool: "pingmesh"})
 	o.Emit(Event{Type: EvToolCall, Tool: "syslog", Runner: "other", Session: "s2"})
@@ -55,10 +55,10 @@ func TestEventLogRoundTrip(t *testing.T) {
 func TestSinkAbsorbAssignsGlobalSeq(t *testing.T) {
 	t.Parallel()
 	s := NewLogSink()
-	a := NewRecorder("t0")
+	a := AcquireRecorder("t0")
 	a.Emit(Event{Type: EvHypothesis})
 	a.Emit(Event{Type: EvHypothesisTested, Verdict: "supported"})
-	b := NewRecorder("t1")
+	b := AcquireRecorder("t1")
 	b.Emit(Event{Type: EvHypothesis})
 	s.Absorb(a)
 	s.Absorb(b)
@@ -147,7 +147,7 @@ func TestPrometheusExportShape(t *testing.T) {
 
 func TestReleaseZeroesPooledSlots(t *testing.T) {
 	t.Parallel()
-	r := NewRecorder("t0")
+	r := AcquireRecorder("t0")
 	for i := 0; i < 5; i++ {
 		r.Emit(Event{Type: EvSessionEnd, Detail: "line", Outcome: &SessionOutcome{Mitigated: true}})
 	}
@@ -165,7 +165,7 @@ func TestSinkKeepsLogOnlyWhenAsked(t *testing.T) {
 		sink *Sink
 		want int
 	}{{NewSink(), 0}, {NewLogSink(), 3}} {
-		rec := NewRecorder("t0")
+		rec := AcquireRecorder("t0")
 		for i := 0; i < 3; i++ {
 			rec.Emit(Event{Type: EvToolCall, Tool: "pingmesh", Disposition: "ok"})
 		}
@@ -193,7 +193,7 @@ func TestSinkSubscribePushesInSeqOrder(t *testing.T) {
 	s := NewSink()
 	s.Emit(Event{Type: EvHypothesis}) // before the subscriber: not seen
 	ch, cancel := s.Subscribe()
-	rec := NewRecorder("t0")
+	rec := AcquireRecorder("t0")
 	rec.Emit(Event{Type: EvHypothesis})
 	rec.Emit(Event{Type: EvHypothesisTested, Verdict: "supported"})
 	s.Absorb(rec)

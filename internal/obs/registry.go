@@ -197,24 +197,6 @@ func (r *Registry) Observe(name string, labels Labels, v float64) {
 	h.observe(v)
 }
 
-// CounterValue reads one counter series (0 when absent) — test hook.
-func (r *Registry) CounterValue(name string, labels Labels) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name][labels.render()]
-}
-
-// HistogramCount reads one histogram series' sample count — test hook.
-func (r *Registry) HistogramCount(name string, labels Labels) uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name][labels.render()]
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
 // Merge folds o into r: counters and histogram series add, gauges
 // overwrite (last writer wins — gauges are meant for serial, top-level
 // writers like the fleet simulator). Histogram families must share

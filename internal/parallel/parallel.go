@@ -1,6 +1,6 @@
 // Package parallel is the worker-pool trial runner behind every
 // evaluation surface in this repository: the experiment harnesses
-// (E1-E12), the A/B run matrix, the corpus replayer, and the benches.
+// (E1-E12), the A/B test, the corpus replayer, and the benches.
 //
 // Its core contract is *scheduling independence*: the (trial, seed)
 // pairs and the order of the collected result slice depend only on the
@@ -72,28 +72,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("parallel: trial %d panicked: %v", e.Trial, e.Value)
 }
 
-// Progress aggregates live counters over a run; safe for concurrent
-// reads while RunTrials executes (e.g. from a reporting goroutine).
-type Progress struct {
-	started  atomic.Int64
-	done     atomic.Int64
-	panicked atomic.Int64
-	nanos    atomic.Int64 // summed per-trial wall time
-}
-
-// Started reports trials that have begun executing.
-func (p *Progress) Started() int64 { return p.started.Load() }
-
-// Done reports trials that have finished (including panicked ones).
-func (p *Progress) Done() int64 { return p.done.Load() }
-
-// Panicked reports trials whose function panicked.
-func (p *Progress) Panicked() int64 { return p.panicked.Load() }
-
-// TrialTime is the summed per-trial wall time — at workers=N it exceeds
-// the run's wall clock by roughly the achieved speedup factor.
-func (p *Progress) TrialTime() time.Duration { return time.Duration(p.nanos.Load()) }
-
 // Workers normalizes a worker-count knob: values <= 0 mean "one worker
 // per available CPU" (GOMAXPROCS), and the count never exceeds n so
 // tiny runs don't spawn idle goroutines.
@@ -117,12 +95,6 @@ func Workers(requested, n int) int {
 // returned slice is identical for any workers value — concurrency is
 // invisible except in wall-clock time.
 func RunTrials[T any](n, workers int, base int64, fn TrialFunc[T]) []TrialResult[T] {
-	return RunTrialsProgress(n, workers, base, nil, fn)
-}
-
-// RunTrialsProgress is RunTrials with live progress counters (prog may
-// be nil).
-func RunTrialsProgress[T any](n, workers int, base int64, prog *Progress, fn TrialFunc[T]) []TrialResult[T] {
 	if n <= 0 {
 		return nil
 	}
@@ -143,7 +115,7 @@ func RunTrialsProgress[T any](n, workers int, base int64, prog *Progress, fn Tri
 				if i >= n {
 					return
 				}
-				results[i] = runOne(i, DeriveSeed(base, i), prog, fn)
+				results[i] = runOne(i, DeriveSeed(base, i), fn)
 			}
 		}()
 	}
@@ -152,48 +124,15 @@ func RunTrialsProgress[T any](n, workers int, base int64, prog *Progress, fn Tri
 }
 
 // runOne executes a single trial with panic capture and timing.
-func runOne[T any](trial int, seed int64, prog *Progress, fn TrialFunc[T]) (tr TrialResult[T]) {
+func runOne[T any](trial int, seed int64, fn TrialFunc[T]) (tr TrialResult[T]) {
 	tr.Trial, tr.Seed = trial, seed
-	if prog != nil {
-		prog.started.Add(1)
-	}
 	start := time.Now()
 	defer func() {
 		tr.Elapsed = time.Since(start)
 		if r := recover(); r != nil {
 			tr.Err = &PanicError{Trial: trial, Value: r, Stack: debug.Stack()}
-			if prog != nil {
-				prog.panicked.Add(1)
-			}
-		}
-		if prog != nil {
-			prog.done.Add(1)
-			prog.nanos.Add(int64(tr.Elapsed))
 		}
 	}()
 	tr.Value = fn(seed, trial)
 	return tr
-}
-
-// Values extracts the successful trial values in trial order, dropping
-// panicked trials.
-func Values[T any](rs []TrialResult[T]) []T {
-	out := make([]T, 0, len(rs))
-	for _, r := range rs {
-		if r.Err == nil {
-			out = append(out, r.Value)
-		}
-	}
-	return out
-}
-
-// FirstErr returns the lowest-trial-index error, or nil if every trial
-// succeeded.
-func FirstErr[T any](rs []TrialResult[T]) error {
-	for _, r := range rs {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-	return nil
 }

@@ -71,41 +71,16 @@ func TestPanicCapture(t *testing.T) {
 		return trial * 2
 	})
 	var pe *PanicError
-	if err := FirstErr(rs); !errors.As(err, &pe) {
-		t.Fatalf("FirstErr = %v, want *PanicError", err)
+	if err := rs[3].Err; !errors.As(err, &pe) {
+		t.Fatalf("trial 3 error = %v, want *PanicError", err)
 	}
 	if pe.Trial != 3 || len(pe.Stack) == 0 {
 		t.Fatalf("panic recorded on trial %d with %d stack bytes, want trial 3 with a stack", pe.Trial, len(pe.Stack))
-	}
-	if vals := Values(rs); len(vals) != 9 {
-		t.Fatalf("got %d surviving values, want 9", len(vals))
 	}
 	for i, r := range rs {
 		if i != 3 && (r.Err != nil || r.Value != i*2) {
 			t.Fatalf("trial %d: value %d err %v, want %d nil", i, r.Value, r.Err, i*2)
 		}
-	}
-}
-
-// TestProgressCounters verifies the aggregate counters account for every
-// trial exactly once.
-func TestProgressCounters(t *testing.T) {
-	t.Parallel()
-	var prog Progress
-	rs := RunTrialsProgress(25, 5, 9, &prog, func(seed int64, trial int) int {
-		if trial%7 == 0 {
-			panic("x")
-		}
-		return trial
-	})
-	if prog.Started() != 25 || prog.Done() != 25 {
-		t.Fatalf("started %d done %d, want 25/25", prog.Started(), prog.Done())
-	}
-	if prog.Panicked() != 4 { // trials 0,7,14,21
-		t.Fatalf("panicked %d, want 4", prog.Panicked())
-	}
-	if len(rs) != 25 {
-		t.Fatalf("got %d results, want 25", len(rs))
 	}
 }
 

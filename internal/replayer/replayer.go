@@ -49,9 +49,11 @@ type Options struct {
 	// KBase is what the resolving engineers knew; defaults to the
 	// current corpus (Default + fastpath update).
 	KBase *kb.KB
-	// Expertise range of the engineer population.
-	MinExpertise, MaxExpertise float64
 }
+
+// The resolving engineers' expertise is drawn uniformly from
+// [minExpertise, maxExpertise).
+const minExpertise, maxExpertise = 0.6, 0.95
 
 // Generate builds a corpus by running unassisted engineers over sampled
 // scenarios and recording what they did and how long it took.
@@ -68,10 +70,6 @@ func Generate(opts Options) *Corpus {
 		kbase = kb.Default()
 		kb.ApplyFastpathUpdate(kbase)
 	}
-	lo, hi := opts.MinExpertise, opts.MaxExpertise
-	if hi == 0 {
-		lo, hi = 0.6, 0.95
-	}
 	rng := randsrc.New(opts.Seed)
 	c := &Corpus{History: kb.NewHistory()}
 	for i := 0; i < opts.N; i++ {
@@ -79,7 +77,7 @@ func Generate(opts Options) *Corpus {
 		seed := rng.Int63()
 		in := sc.Build(randsrc.New(seed))
 		eng := &oce.Engineer{
-			Expertise: lo + (hi-lo)*rng.Float64(),
+			Expertise: minExpertise + (maxExpertise-minExpertise)*rng.Float64(),
 			KBase:     kbase,
 			Rng:       randsrc.New(seed ^ 0x0ce),
 		}
@@ -182,16 +180,6 @@ func kindsOf(p mitigation.Plan) []mitigation.Action {
 	return out
 }
 
-// Replay re-runs every corpus incident through the runner and compares
-// against the historical record, using one worker per CPU.
-func Replay(c *Corpus, r harness.Runner) *Report { return ReplayParallel(c, r, 0) }
-
-// ReplayParallel is Replay with an explicit worker count (<= 0 means
-// GOMAXPROCS); see ReplayObserved for the full contract.
-func ReplayParallel(c *Corpus, r harness.Runner, workers int) *Report {
-	return ReplayObserved(c, r, workers, nil)
-}
-
 // replayOutcome is one item's full per-trial computation; everything
 // that touches the (read-only) corpus history happens inside the trial,
 // so aggregation is a pure fold in item order.
@@ -202,13 +190,14 @@ type replayOutcome struct {
 	unresolved bool
 }
 
-// ReplayObserved replays with an explicit worker count (<= 0 means
-// GOMAXPROCS) and optional event capture. Each corpus item rebuilds its
-// identical instance from its recorded seed in its own trial —
-// independent world, model, and toolbox — and the report aggregates in
-// corpus order, so the output is bit-identical for every worker count.
-// When sink is non-nil, each item's events buffer into a private
-// recorder and absorb in corpus order (same determinism contract).
+// ReplayObserved re-runs every corpus incident through the runner and
+// compares against the historical record, on workers pool workers (<= 0
+// means GOMAXPROCS). Each corpus item rebuilds its identical instance
+// from its recorded seed in its own trial — independent world, model,
+// and toolbox — and the report aggregates in corpus order, so the
+// output is bit-identical for every worker count. When sink is non-nil,
+// each item's events buffer into a private recorder and absorb in
+// corpus order (same determinism contract).
 func ReplayObserved(c *Corpus, r harness.Runner, workers int, sink *obs.Sink) *Report {
 	var recs []*obs.Recorder
 	if sink != nil {
@@ -233,39 +222,7 @@ func ReplayObserved(c *Corpus, r harness.Runner, workers int, sink *obs.Sink) *R
 		} else {
 			res = r.Run(in, item.Seed)
 		}
-		o := replayOutcome{item: ReplayItem{
-			ID:          item.Record.ID,
-			Scenario:    item.Scenario,
-			OriginalTTM: time.Duration(item.Record.TTMMinutes * float64(time.Minute)),
-			HelperTTM:   res.PenalizedTTM(),
-			Mitigated:   res.Mitigated,
-		}}
-		switch {
-		case !res.Mitigated:
-			o.unresolved = true
-		case sameMitigation(res.Applied.Actions, item.Record.Mitigation):
-			o.item.Match = true
-		default:
-			// Conditional estimate: past incidents resolved with the
-			// helper's mitigation class. We can only query telemetry
-			// retroactively for the operator's path, so the counterfactual
-			// TTM comes from the conditioned history (approximate by
-			// construction, as the paper notes).
-			need := kindsOf(res.Applied)
-			var recs []kb.IncidentRecord
-			if len(need) > 0 {
-				recs = c.History.WithMitigation(need)
-			}
-			if len(recs) > 0 {
-				var sum float64
-				for _, rr := range recs {
-					sum += rr.TTMMinutes
-				}
-				o.item.CondEstimate = time.Duration(sum / float64(len(recs)) * float64(time.Minute))
-				o.item.CondN = len(recs)
-			}
-		}
-		return o
+		return c.outcome(i, res)
 	})
 	for _, rec := range recs {
 		if rec != nil {
@@ -276,11 +233,16 @@ func ReplayObserved(c *Corpus, r harness.Runner, workers int, sink *obs.Sink) *R
 
 	rep := &Report{}
 	var savingsSum, condSum time.Duration
-	for _, tr := range outcomes {
-		if tr.Err != nil || tr.Value.skip {
+	for i, tr := range outcomes {
+		o := tr.Value
+		if tr.Err != nil {
+			// A crashed trial counts as harness.PoolResult counts one: an
+			// escalation, so the report keeps every corpus item.
+			o = c.outcome(i, harness.Result{Scenario: c.Items[i].Scenario, Escalated: true, PlanErrors: 1})
+		}
+		if o.skip {
 			continue
 		}
-		o := tr.Value
 		switch {
 		case o.unresolved:
 			rep.Unresolved++
@@ -303,4 +265,42 @@ func ReplayObserved(c *Corpus, r harness.Runner, workers int, sink *obs.Sink) *R
 		rep.MeanCondSavings = (savingsSum + condSum) / time.Duration(rep.Matched+rep.CondCovered)
 	}
 	return rep
+}
+
+// outcome classifies corpus item i against the runner's result res.
+func (c *Corpus) outcome(i int, res harness.Result) replayOutcome {
+	item := c.Items[i]
+	o := replayOutcome{item: ReplayItem{
+		ID:          item.Record.ID,
+		Scenario:    item.Scenario,
+		OriginalTTM: time.Duration(item.Record.TTMMinutes * float64(time.Minute)),
+		HelperTTM:   res.PenalizedTTM(),
+		Mitigated:   res.Mitigated,
+	}}
+	switch {
+	case !res.Mitigated:
+		o.unresolved = true
+	case sameMitigation(res.Applied.Actions, item.Record.Mitigation):
+		o.item.Match = true
+	default:
+		// Conditional estimate: past incidents resolved with the
+		// helper's mitigation class. We can only query telemetry
+		// retroactively for the operator's path, so the counterfactual
+		// TTM comes from the conditioned history (approximate by
+		// construction, as the paper notes).
+		need := kindsOf(res.Applied)
+		var recs []kb.IncidentRecord
+		if len(need) > 0 {
+			recs = c.History.WithMitigation(need)
+		}
+		if len(recs) > 0 {
+			var sum float64
+			for _, rr := range recs {
+				sum += rr.TTMMinutes
+			}
+			o.item.CondEstimate = time.Duration(sum / float64(len(recs)) * float64(time.Minute))
+			o.item.CondN = len(recs)
+		}
+	}
+	return o
 }

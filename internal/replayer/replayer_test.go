@@ -59,7 +59,7 @@ func TestReplayHelperBeatsHistory(t *testing.T) {
 	kb.ApplyFastpathUpdate(kbase)
 	runner := &harness.HelperRunner{KBase: kbase, Config: core.DefaultConfig(), History: c.History}
 
-	rep := replayer.Replay(c, runner)
+	rep := replayer.ReplayObserved(c, runner, 0, nil)
 	if len(rep.Items) != 50 {
 		t.Fatalf("replayed %d items", len(rep.Items))
 	}
@@ -112,7 +112,7 @@ func TestReplayMismatchGetsConditionalEstimate(t *testing.T) {
 	})
 	kbase := kb.Default()
 	inner := &harness.HelperRunner{KBase: kbase, Config: core.DefaultConfig(), History: c.History}
-	rep := replayer.Replay(c, &fixedPlanRunner{inner: inner})
+	rep := replayer.ReplayObserved(c, &fixedPlanRunner{inner: inner}, 0, nil)
 	if rep.Mismatched == 0 {
 		t.Fatal("expected mismatches with a fixed foreign plan")
 	}
@@ -125,4 +125,46 @@ func TestReplayMismatchGetsConditionalEstimate(t *testing.T) {
 		}
 	}
 	_ = time.Minute
+}
+
+// panicOnceRunner crashes on the corpus item whose seed is crashSeed.
+type panicOnceRunner struct {
+	inner     harness.Runner
+	crashSeed int64
+}
+
+func (p *panicOnceRunner) Name() string { return "panic-once" }
+
+func (p *panicOnceRunner) Run(in *scenarios.Instance, seed int64) harness.Result {
+	if seed == p.crashSeed {
+		panic("runner crashed")
+	}
+	return p.inner.Run(in, seed)
+}
+
+// TestReplayCountsCrashedTrial: a runner that panics on one item must
+// not shrink the report; the item counts as unresolved with the
+// escalation penalty, as harness.PoolResult counts a crashed trial.
+func TestReplayCountsCrashedTrial(t *testing.T) {
+	t.Parallel()
+	c := replayer.Generate(replayer.Options{N: 12, Seed: 4})
+	kbase := kb.Default()
+	kb.ApplyFastpathUpdate(kbase)
+	inner := &harness.HelperRunner{KBase: kbase, Config: core.DefaultConfig(), History: c.History}
+	base := replayer.ReplayObserved(c, inner, 2, nil)
+	rep := replayer.ReplayObserved(c, &panicOnceRunner{inner: inner, crashSeed: c.Items[5].Seed}, 2, nil)
+	if len(rep.Items) != len(c.Items) {
+		t.Fatalf("report has %d items, corpus %d: the crashed trial was dropped", len(rep.Items), len(c.Items))
+	}
+	crashed := rep.Items[5]
+	if crashed.ID != c.Items[5].Record.ID || crashed.Mitigated || crashed.HelperTTM != harness.EscalationPenalty {
+		t.Fatalf("crashed item = %+v, want unresolved at the escalation penalty", crashed)
+	}
+	wantUnresolved := base.Unresolved
+	if base.Items[5].Mitigated {
+		wantUnresolved++
+	}
+	if rep.Unresolved != wantUnresolved {
+		t.Errorf("unresolved = %d, want %d", rep.Unresolved, wantUnresolved)
+	}
 }

@@ -2,6 +2,7 @@ package risk
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestAssessGoodPlanImproves(t *testing.T) {
 		t.Fatalf("correct mitigation scored %v", rep.Score)
 	}
 	// Live world untouched.
-	if in.World.Ctl.WANFailed("B4") == false {
+	if !slices.Contains(in.World.Ctl.FailedWANs(), "B4") {
 		t.Fatal("what-if leaked into live world (B4 override applied)")
 	}
 }

@@ -25,10 +25,13 @@ import (
 )
 
 // worldDigest is a canonical hash of a world's observable state: nodes,
-// links, flows, controller, baselines, clock, faults, syslog, change
-// log, route-cache counters, traffic report and recorder series. The
-// cache counters are read before the report, which may recompute.
-func worldDigest(w *netsim.World) string {
+// links, flows, controller, baselines, clock, syslog, change log,
+// route-cache counters, traffic report and recorder series, and whether
+// each of faults is active. Scenario builds are the only program code
+// that injects faults, and each lists its fault in Truth.FaultIDs, so
+// those IDs cover every fault a session world can carry. The cache
+// counters are read before the report, which may recompute.
+func worldDigest(w *netsim.World, faults []string) string {
 	h := sha256.New()
 	for _, nd := range w.Net.Nodes() {
 		fmt.Fprintf(h, "node %+v\n", *nd)
@@ -41,7 +44,10 @@ func worldDigest(w *netsim.World) string {
 	}
 	fmt.Fprintf(h, "ctl %+v\n", *w.Ctl)
 	fmt.Fprintf(h, "baselines %v %v %v\n", w.ServiceBaseline, w.LatencyBaseline, w.BrokenMonitors)
-	fmt.Fprintf(h, "clock %v faults %v\n", w.Clock.Now(), w.ActiveFaults())
+	fmt.Fprintf(h, "clock %v\n", w.Clock.Now())
+	for _, id := range faults {
+		fmt.Fprintf(h, "fault %s %v\n", id, w.FaultActive(id))
+	}
 	fmt.Fprintf(h, "events %+v\nchanges %+v\n", w.Events(), w.Changes.All())
 	hits, misses := w.Net.RouteCacheStats()
 	fmt.Fprintf(h, "cache %d %d\n", hits, misses)
@@ -120,7 +126,7 @@ func runSession(t *testing.T, sc scenarios.Scenario, r harness.ObservedRunner, s
 	if probe {
 		in.World.AddTrigger(reportProbe{steps: &run.steps})
 	}
-	rec := obs.NewRecorder("s")
+	rec := obs.AcquireRecorder("s")
 	run.result = r.RunObserved(in, seed, rec)
 	var buf bytes.Buffer
 	if err := obs.WriteEventLog(&buf, rec.Events); err != nil {
@@ -128,7 +134,7 @@ func runSession(t *testing.T, sc scenarios.Scenario, r harness.ObservedRunner, s
 	}
 	run.events = buf.Bytes()
 	run.hits, run.misses = in.World.Net.RouteCacheStats()
-	run.world = worldDigest(in.World)
+	run.world = worldDigest(in.World, in.Incident.Truth.FaultIDs)
 	return run
 }
 
@@ -188,14 +194,18 @@ func TestForkMatchesFreshBuild(t *testing.T) {
 // TestTemplateIntegrityUnderConcurrentForks forks the template from
 // several goroutines, each running every scenario and one helper
 // session, and requires the template to be exactly as it was built.
+// The template carries no fault, so every fault a fork injected must
+// still read inactive on it; this catches a fork that writes into the
+// template's fault map, which copy-on-write of links does not cover.
 // Under -race it also proves Fork only reads its receiver; a test or
 // program line that writes through a read-only view (Net.Node, Net.Link)
 // of a fork fails here.
 func TestTemplateIntegrityUnderConcurrentForks(t *testing.T) {
 	t.Parallel()
 	tmpl := scenarios.StandardTemplate()
-	before := worldDigest(tmpl)
+	before := worldDigest(tmpl, nil)
 	helper := forkTestRunners()[0]
+	ids := make([][]string, 4)
 	var wg sync.WaitGroup
 	for g := int64(0); g < 4; g++ {
 		wg.Add(1)
@@ -204,6 +214,7 @@ func TestTemplateIntegrityUnderConcurrentForks(t *testing.T) {
 			var last *scenarios.Instance
 			for i, sc := range scenarios.All() {
 				last = sc.Build(randsrc.New(100*g + int64(i)))
+				ids[g] = append(ids[g], last.Incident.Truth.FaultIDs...)
 				last.World.Clock.Advance(30 * time.Minute)
 				last.World.Recompute()
 			}
@@ -211,8 +222,17 @@ func TestTemplateIntegrityUnderConcurrentForks(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if after := worldDigest(tmpl); after != before {
+	if after := worldDigest(tmpl, nil); after != before {
 		t.Fatal("forking and running sessions changed the standard world template")
+	}
+	injected := slices.Concat(ids...)
+	if len(injected) == 0 {
+		t.Fatal("no scenario injected a fault")
+	}
+	for _, id := range injected {
+		if tmpl.FaultActive(id) {
+			t.Errorf("fault %s leaked into the standard world template", id)
+		}
 	}
 }
 

@@ -19,9 +19,10 @@ import (
 type NLQueryTool struct {
 	base
 	Model llm.Model
-	// MaxAttempts bounds generate->verify->repair rounds (default 3).
-	MaxAttempts int
 }
+
+// nlQueryAttempts bounds the generate->verify->repair rounds.
+const nlQueryAttempts = 3
 
 // NLQueryToolName is the registry name of the tool.
 const NLQueryToolName = "nl-query"
@@ -41,14 +42,9 @@ func (t *NLQueryTool) Invoke(w *netsim.World, args map[string]string) (Result, e
 	if question == "" {
 		return Result{}, fmt.Errorf("nl-query: missing question argument")
 	}
-	max := t.MaxAttempts
-	if max <= 0 {
-		max = 3
-	}
-
 	feedback := ""
 	var lastErr error
-	for attempt := 1; attempt <= max; attempt++ {
+	for attempt := 1; attempt <= nlQueryAttempts; attempt++ {
 		resp, err := t.Model.Complete(llm.BuildTextToQuery(question, feedback))
 		if err != nil {
 			return Result{}, fmt.Errorf("nl-query: model: %w", err)
@@ -74,7 +70,7 @@ func (t *NLQueryTool) Invoke(w *netsim.World, args map[string]string) (Result, e
 			return Result{}, fmt.Errorf("nl-query: execute: %w", err)
 		}
 		res := Result{
-			Raw: fmt.Sprintf("query %q -> %q (%d rows, attempt %d/%d)", question, q, len(rows), attempt, max),
+			Raw: fmt.Sprintf("query %q -> %q (%d rows, attempt %d/%d)", question, q, len(rows), attempt, nlQueryAttempts),
 		}
 		res.Findings = append(res.Findings,
 			fmt.Sprintf("query_verified=true attempts=%d dsl=%s", attempt, strings.ReplaceAll(q.String(), " ", "_")))
@@ -92,7 +88,7 @@ func (t *NLQueryTool) Invoke(w *netsim.World, args map[string]string) (Result, e
 		return res, nil
 	}
 	return Result{
-		Findings: []string{fmt.Sprintf("query_verified=false attempts=%d", max)},
-		Raw:      fmt.Sprintf("nl-query: gave up after %d attempts: %v", max, lastErr),
+		Findings: []string{fmt.Sprintf("query_verified=false attempts=%d", nlQueryAttempts)},
+		Raw:      fmt.Sprintf("nl-query: gave up after %d attempts: %v", nlQueryAttempts, lastErr),
 	}, nil
 }

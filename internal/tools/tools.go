@@ -124,17 +124,3 @@ func (r *Registry) Names() []string {
 
 // Owner reports which team owns a tool.
 func (r *Registry) Owner(name string) string { return r.owner[name] }
-
-// RemoveTeam deletes every tool a team owns (a team deprecating its
-// stack) and reports how many were removed.
-func (r *Registry) RemoveTeam(team string) int {
-	n := 0
-	for name, owner := range r.owner {
-		if owner == team {
-			delete(r.tools, name)
-			delete(r.owner, name)
-			n++
-		}
-	}
-	return n
-}

@@ -44,12 +44,6 @@ func TestRegistryOwnership(t *testing.T) {
 	if r.Owner(kb.ToolPingMesh) != "monitoring" {
 		t.Fatal("owner wrong")
 	}
-	if n := r.RemoveTeam("monitoring"); n != 1 {
-		t.Fatalf("RemoveTeam removed %d", n)
-	}
-	if len(r.Names()) != 0 {
-		t.Fatal("registry not empty after team removal")
-	}
 }
 
 func TestDefaultRegistryComplete(t *testing.T) {
