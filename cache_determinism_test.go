@@ -1,10 +1,9 @@
 package aiops
 
 // Cache neutrality: the what-if fast-path caches (route DAGs, embedding
-// memo) are pure speed optimizations — every rendered byte must be
-// identical with caches on or off, serial or parallel, and the
-// observability exports must stay worker-independent with the caches in
-// either state.
+// memo) are pure speed optimizations — every rendered byte and every
+// exported event and metric must be identical with caches on or off,
+// serial or parallel.
 //
 // These tests toggle process-wide cache switches, so they must NOT call
 // t.Parallel(): Go runs them to completion during the sequential phase,
@@ -25,38 +24,57 @@ func setCaches(on bool) {
 	embed.SetEmbedCacheEnabled(on)
 }
 
-// TestCachesAreOutputNeutral renders the same A/B trial in all four
-// (caches, workers) corners and requires byte equality everywhere.
+// TestCachesAreOutputNeutral renders the same A/B trial into a log sink
+// in all four (caches, workers) corners and requires the report, the
+// -trace-out event log and the -metrics-out text to be byte-identical
+// everywhere.
 func TestCachesAreOutputNeutral(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full A/B renders are slow")
 	}
 	defer setCaches(true)
-	render := func(on bool, workers int) string {
+	type output struct{ report, events, metrics string }
+	render := func(on bool, workers int) output {
 		setCaches(on)
-		sys := New(WithSeed(17), WithWorkers(workers))
+		sink := NewSink()
+		sys := New(WithSeed(17), WithWorkers(workers), WithObservability(sink))
 		sys.GenerateHistory(24, 17)
-		return eval.RenderABReport(sys.ABTest(16, 17))
+		out := output{report: eval.RenderABReport(sys.ABTest(16, 17))}
+		var ev, m bytes.Buffer
+		if err := sink.WriteEvents(&ev); err != nil {
+			t.Fatal(err)
+		}
+		if err := sink.WriteMetrics(&m); err != nil {
+			t.Fatal(err)
+		}
+		out.events, out.metrics = ev.String(), m.String()
+		return out
 	}
-	on1 := render(true, 1)
-	off1 := render(false, 1)
-	on8 := render(true, 8)
-	off8 := render(false, 8)
-	if on1 != off1 {
-		t.Error("caches changed rendered output at workers=1")
+	want := render(true, 1)
+	if want.events == "" || want.metrics == "" {
+		t.Fatal("sink captured nothing")
 	}
-	if on1 != on8 {
-		t.Error("cached run differs between workers=1 and workers=8")
-	}
-	if off1 != off8 {
-		t.Error("uncached run differs between workers=1 and workers=8")
+	for _, c := range []struct {
+		on      bool
+		workers int
+	}{{false, 1}, {true, 8}, {false, 8}} {
+		got := render(c.on, c.workers)
+		if got.report != want.report {
+			t.Errorf("caches=%v workers=%d: rendered report differs from caches on at one worker", c.on, c.workers)
+		}
+		if got.events != want.events {
+			t.Errorf("caches=%v workers=%d: event log differs from caches on at one worker", c.on, c.workers)
+		}
+		if got.metrics != want.metrics {
+			t.Errorf("caches=%v workers=%d: metrics dump differs from caches on at one worker", c.on, c.workers)
+		}
 	}
 }
 
 // TestObservabilityWorkerIndependenceCachesOff repeats the export
-// determinism contract with the caches disabled: the event log and the
-// metrics dump (now without aiops_cache_* series) must still be
-// byte-identical at every worker count.
+// determinism contract with the caches disabled on a second seed: the
+// event log and the metrics dump must be byte-identical at every worker
+// count and carry no aiops_cache_* series.
 func TestObservabilityWorkerIndependenceCachesOff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full export captures are slow")

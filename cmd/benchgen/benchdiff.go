@@ -2,7 +2,8 @@ package main
 
 // The -bench-diff mode compares two -bench-json snapshots and gates on
 // regressions: `benchgen -bench-diff OLD.json NEW.json` prints a
-// per-kernel ratio table (ns/op and allocs/op, new/old) and exits
+// per-kernel ratio table (ns/op and allocs/op, new/old, and the old and
+// new B/op, which do not gate) and exits
 // nonzero when any headline kernel's ns/op regresses by more than 20%
 // or its allocs/op by more than 5%. "Headline kernels" are the
 // substrate micro-kernels — every record whose name is not an
@@ -39,6 +40,7 @@ type benchDiffRow struct {
 	Name                 string
 	OldNs, NewNs         int64
 	OldAllocs, NewAllocs int64
+	OldBytes, NewBytes   int64 // B/op; reported, not gated (0: not recorded)
 	NsRatio              float64
 	AllocRatio           float64
 	Headline             bool // gates the exit code
@@ -86,6 +88,7 @@ func diffBenchFiles(oldF, newF *benchFile) (rows []benchDiffRow, regressed []str
 			Name:      o.Name,
 			OldNs:     o.NsPerOp,
 			OldAllocs: o.AllocsPerOp,
+			OldBytes:  o.BytesPerOp,
 			Headline:  !expIDPattern.MatchString(o.Name),
 		}
 		nr, ok := newByName[o.Name]
@@ -96,6 +99,7 @@ func diffBenchFiles(oldF, newF *benchFile) (rows []benchDiffRow, regressed []str
 		}
 		row.NewNs = nr.NsPerOp
 		row.NewAllocs = nr.AllocsPerOp
+		row.NewBytes = nr.BytesPerOp
 		row.NsRatio = ratio(nr.NsPerOp, o.NsPerOp)
 		row.AllocRatio = ratio(nr.AllocsPerOp, o.AllocsPerOp)
 		if len(row.failed()) > 0 {
@@ -111,6 +115,7 @@ func diffBenchFiles(oldF, newF *benchFile) (rows []benchDiffRow, regressed []str
 			Name:      nr.Name,
 			NewNs:     nr.NsPerOp,
 			NewAllocs: nr.AllocsPerOp,
+			NewBytes:  nr.BytesPerOp,
 			Headline:  !expIDPattern.MatchString(nr.Name),
 			Missing:   true,
 		})
@@ -118,14 +123,23 @@ func diffBenchFiles(oldF, newF *benchFile) (rows []benchDiffRow, regressed []str
 	return rows, regressed
 }
 
+// bytesCell renders a B/op value, or "-" for a snapshot that did not
+// record it.
+func bytesCell(b int64) string {
+	if b == 0 {
+		return "-"
+	}
+	return fmt.Sprint(b)
+}
+
 // writeBenchDiff renders the comparison table. Ratios below 1 are
 // speedups; the `gate` column marks rows that participate in the exit
 // code.
 func writeBenchDiff(w io.Writer, oldPath, newPath string, rows []benchDiffRow) {
-	fmt.Fprintf(w, "bench-diff: %s -> %s (gate: headline ns/op ratio <= %.2f, allocs/op ratio <= %.2f)\n\n",
+	fmt.Fprintf(w, "bench-diff: %s -> %s (gate: headline ns/op ratio <= %.2f, allocs/op ratio <= %.2f; B/op not gated)\n\n",
 		oldPath, newPath, benchRegressLimit, benchAllocLimit)
-	fmt.Fprintf(w, "%-34s %14s %14s %8s %10s %10s %8s  %s\n",
-		"name", "old ns/op", "new ns/op", "ratio", "old allocs", "new allocs", "ratio", "gate")
+	fmt.Fprintf(w, "%-34s %14s %14s %8s %10s %10s %8s %12s %12s  %s\n",
+		"name", "old ns/op", "new ns/op", "ratio", "old allocs", "new allocs", "ratio", "old B/op", "new B/op", "gate")
 	for _, r := range rows {
 		gate := "-"
 		if r.Headline {
@@ -133,21 +147,22 @@ func writeBenchDiff(w io.Writer, oldPath, newPath string, rows []benchDiffRow) {
 		}
 		if r.Missing {
 			side := "old only"
-			ns, allocs := r.OldNs, r.OldAllocs
+			ns, allocs, bytes := r.OldNs, r.OldAllocs, r.OldBytes
 			if r.OldNs == 0 && r.OldAllocs == 0 {
 				side = "new only"
-				ns, allocs = r.NewNs, r.NewAllocs
+				ns, allocs, bytes = r.NewNs, r.NewAllocs, r.NewBytes
 			}
-			fmt.Fprintf(w, "%-34s %14d %14s %8s %10d %10s %8s  %s (%s)\n",
-				r.Name, ns, "-", "-", allocs, "-", "-", gate, side)
+			fmt.Fprintf(w, "%-34s %14d %14s %8s %10d %10s %8s %12s %12s  %s (%s)\n",
+				r.Name, ns, "-", "-", allocs, "-", "-", bytesCell(bytes), "-", gate, side)
 			continue
 		}
 		verdict := ""
 		if gates := r.failed(); len(gates) > 0 {
 			verdict = "  REGRESSED " + strings.Join(gates, ", ")
 		}
-		fmt.Fprintf(w, "%-34s %14d %14d %7.2fx %10d %10d %7.2fx  %s%s\n",
-			r.Name, r.OldNs, r.NewNs, r.NsRatio, r.OldAllocs, r.NewAllocs, r.AllocRatio, gate, verdict)
+		fmt.Fprintf(w, "%-34s %14d %14d %7.2fx %10d %10d %7.2fx %12s %12s  %s%s\n",
+			r.Name, r.OldNs, r.NewNs, r.NsRatio, r.OldAllocs, r.NewAllocs, r.AllocRatio,
+			bytesCell(r.OldBytes), bytesCell(r.NewBytes), gate, verdict)
 	}
 }
 

@@ -115,6 +115,34 @@ func TestDiffBenchFilesFlagsAllocRegression(t *testing.T) {
 	}
 }
 
+// B/op is printed for both sides but never gates: doubling it on a
+// headline row passes, and a snapshot that predates B/op shows "-".
+func TestDiffBenchFilesReportsBytesWithoutGating(t *testing.T) {
+	oldF := bf(
+		benchRecord{Name: "OneShotSession", NsPerOp: 2_000_000, AllocsPerOp: 400, BytesPerOp: 300_000},
+		benchRecord{Name: "RouteTraffic", NsPerOp: 10_000, AllocsPerOp: 100},
+	)
+	newF := bf(
+		benchRecord{Name: "OneShotSession", NsPerOp: 2_000_000, AllocsPerOp: 400, BytesPerOp: 600_000},
+		benchRecord{Name: "RouteTraffic", NsPerOp: 10_000, AllocsPerOp: 100, BytesPerOp: 4_096},
+	)
+	rows, regressed := diffBenchFiles(oldF, newF)
+	if len(regressed) != 0 {
+		t.Fatalf("regressed = %v, want none: B/op does not gate", regressed)
+	}
+	if rows[0].OldBytes != 300_000 || rows[0].NewBytes != 600_000 {
+		t.Fatalf("OneShotSession row = %+v, want B/op 300000 -> 600000", rows[0])
+	}
+	var sb strings.Builder
+	writeBenchDiff(&sb, "old.json", "new.json", rows)
+	out := sb.String()
+	for _, want := range []string{"old B/op", "300000       600000", "-         4096"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("table lacks %q:\n%s", want, out)
+		}
+	}
+}
+
 // Every committed snapshot parses and passes the gate against itself.
 func TestCommittedSnapshotsPassAgainstThemselves(t *testing.T) {
 	paths, err := filepath.Glob("../../BENCH_*.json")

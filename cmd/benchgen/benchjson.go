@@ -3,11 +3,13 @@ package main
 // The -bench-json mode runs every row of the shared kernel table
 // (internal/kernels: the registered experiments at their pinned cell
 // plus the substrate kernels) in-process through testing.Benchmark and
-// writes one JSON record per row: {name, ns/op, allocs/op, headline}.
+// writes one JSON record per row: {name, ns/op, allocs/op, B/op,
+// headline}.
 // Committed snapshots (BENCH_<date>.json at the repo root) give the
 // performance trajectory a baseline that `go test -bench` output alone
 // never leaves behind. Timings are wall-clock and machine-dependent;
-// allocs/op is stable. Combine with -nocache to snapshot the slow path.
+// allocs/op is stable. Snapshots written before B/op was recorded have
+// no bytes_per_op. Combine with -nocache to snapshot the slow path.
 
 import (
 	"encoding/json"
@@ -25,6 +27,7 @@ type benchRecord struct {
 	Name        string `json:"name"`
 	NsPerOp     int64  `json:"ns_per_op"`
 	AllocsPerOp int64  `json:"allocs_per_op"`
+	BytesPerOp  int64  `json:"bytes_per_op,omitempty"`
 	Headline    string `json:"headline"`
 }
 
@@ -52,8 +55,8 @@ func runBenchJSON(path string, caches bool, table []kernels.Kernel) error {
 			return err
 		}
 		out.Benchmarks = append(out.Benchmarks, rec)
-		fmt.Fprintf(os.Stderr, "%-34s %14d ns/op %12d allocs/op   %s\n",
-			rec.Name, rec.NsPerOp, rec.AllocsPerOp, rec.Headline)
+		fmt.Fprintf(os.Stderr, "%-34s %14d ns/op %12d allocs/op %14d B/op   %s\n",
+			rec.Name, rec.NsPerOp, rec.AllocsPerOp, rec.BytesPerOp, rec.Headline)
 	}
 	data, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {
@@ -90,5 +93,8 @@ func measure(k kernels.Kernel) (benchRecord, error) {
 			best = res
 		}
 	}
-	return benchRecord{Name: k.Name, NsPerOp: best.NsPerOp(), AllocsPerOp: best.AllocsPerOp(), Headline: k.Headline}, nil
+	return benchRecord{
+		Name: k.Name, NsPerOp: best.NsPerOp(), AllocsPerOp: best.AllocsPerOp(),
+		BytesPerOp: best.AllocedBytesPerOp(), Headline: k.Headline,
+	}, nil
 }

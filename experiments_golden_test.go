@@ -77,17 +77,20 @@ func TestExperimentGoldens(t *testing.T) {
 }
 
 // TestExperimentGoldensCachesOff renders every experiment again at one
-// worker with the route cache and the embedding memo off: neither the
-// worker count nor the caches may change a byte. It toggles
-// process-wide switches, so it must not call t.Parallel. (The exports
-// do change with the caches: they count route-cache hits.)
+// worker with the route cache and the embedding memo off, into a log
+// sink: neither the worker count nor the caches may change a byte of
+// the table or of the exports, so both must match the caches-on goldens
+// (the table and testdata/experiments/eN.exports.sha256). It toggles
+// process-wide switches, so it must not call t.Parallel.
 func TestExperimentGoldensCachesOff(t *testing.T) {
 	setCaches(false)
 	defer setCaches(true)
 	for _, e := range experiments.Registry {
 		t.Run(e.ID, func(t *testing.T) {
 			skipSocketHeavy(t, e.ID)
-			checkExperimentGolden(t, e.ID, renderExperiment(e, 1, nil))
+			sink := obs.NewLogSink()
+			checkExperimentGolden(t, e.ID, renderExperiment(e, 1, sink))
+			checkExportDigests(t, e.ID, 1, exportDigests(t, sink))
 		})
 	}
 }
@@ -97,11 +100,9 @@ func TestExperimentGoldensCachesOff(t *testing.T) {
 // stdout must still match the table golden, and the sha256 of the event
 // log and of the metrics text must match
 // testdata/experiments/eN.exports.sha256. UPDATE_GOLDEN=1 rewrites the
-// digests from the two-worker render. It must not call t.Parallel: a
-// knowledge-base update anywhere in the process (kb.Bump) evicts the
-// shared embedding memo and so changes the embed cache-stats a
-// concurrently running session reports.
+// digests from the two-worker render.
 func TestExperimentExports(t *testing.T) {
+	t.Parallel()
 	for _, e := range experiments.Registry {
 		t.Run(e.ID, func(t *testing.T) {
 			skipSocketHeavy(t, e.ID)

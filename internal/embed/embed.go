@@ -246,8 +246,8 @@ type Hit struct {
 // private view that shares the frozen store's ids, vectors, norms, ID
 // index, LSH planes and buckets. A fork copies that data before its
 // first Add, so forks never write shared state and may run on parallel
-// workers. Its search results and CacheStats equal those of a store
-// built afresh from the same texts.
+// workers. Its search results equal those of a store built afresh from
+// the same texts.
 type Store struct {
 	emb    Embedder
 	ids    []string
@@ -258,12 +258,6 @@ type Store struct {
 
 	planes [][]float32 // LSH hyperplanes; built lazily, or by Freeze
 	bucket map[uint64][]int
-
-	// Embedding-memo accounting; see cache.go. base is the frozen
-	// store's view, read-only and shared by its forks.
-	base, local  map[memoKey]memoEntry
-	epoch        int64
-	hits, misses int64
 }
 
 // NewStore returns an empty vector store over the embedder.
@@ -302,22 +296,16 @@ func (s *Store) Add(id, text string) {
 func (s *Store) Freeze() *Store {
 	s.buildLSH()
 	s.shared = true
-	if s.local != nil {
-		maps.Copy(s.local, s.base)
-		s.base, s.local = s.local, nil
-	}
 	return s
 }
 
 // Fork returns a private view of the frozen store s, as if the same
-// texts had just been added to a new store: same hits, same CacheStats,
-// and an embedding-memo view valid at the current memo epoch.
+// texts had just been added to a new store: same hits.
 func (s *Store) Fork() *Store {
-	if !s.shared || s.local != nil {
+	if !s.shared {
 		panic("embed: Fork of a store that is not frozen")
 	}
 	f := *s
-	f.epoch = memoEpoch.Load() // the base vectors are pure; only the epoch moved
 	return &f
 }
 

@@ -72,16 +72,15 @@ type Runner interface {
 	Run(in *scenarios.Instance, seed int64) Result
 }
 
-// newRegistry builds the per-incident toolbox. It also returns the
-// vector store backing the similar-incidents tool so the session can
-// report the store's embedding-cache counters at session end. The store
-// is a fork of the history's index, built once per history version.
-func newRegistry(in *scenarios.Instance, hist *kb.History, emb embed.Embedder) (*tools.Registry, *embed.Store) {
+// newRegistry builds the per-incident toolbox. The store backing the
+// similar-incidents tool is a fork of the history's index, built once
+// per history version.
+func newRegistry(in *scenarios.Instance, hist *kb.History, emb embed.Embedder) *tools.Registry {
 	store := embed.NewStore(emb)
 	if hist != nil {
 		store = hist.Index("similar-incidents", emb, kb.IncidentRecord.Text)
 	}
-	return tools.NewDefaultRegistry(store, hist, in.Incident.Title+" "+in.Incident.Summary, in.Incident.Service), store
+	return tools.NewDefaultRegistry(store, hist, in.Incident.Title+" "+in.Incident.Summary, in.Incident.Service)
 }
 
 // injectFaults wraps a registry with a per-trial fault injector when the
@@ -144,7 +143,7 @@ func (h *HelperRunner) RunObserved(in *scenarios.Instance, seed int64, o obs.Obs
 	if h.Window > 0 {
 		model.Window = h.Window
 	}
-	reg, store := newRegistry(in, h.History, embed.NewDomainEmbedder(128))
+	reg := newRegistry(in, h.History, embed.NewDomainEmbedder(128))
 	_ = reg.Register("im", tools.NewNLQueryTool(model)) // verified NL query, §4.4
 	reg, inj := injectFaults(reg, h.Faults, seed)
 	helper := &core.Helper{Model: model, Tools: reg, Quant: &risk.Assessor{}, Config: h.Config, Obs: o}
@@ -164,7 +163,6 @@ func (h *HelperRunner) RunObserved(in *scenarios.Instance, seed int64, o obs.Obs
 	out := helper.Run(in.World, in.Incident, watcher)
 
 	res := helperResult(in, out)
-	emitCacheStats(o, in, store)
 	emitEnd(o, in, res)
 	return res
 }
@@ -238,7 +236,7 @@ func (o *OneShotRunner) RunObserved(in *scenarios.Instance, seed int64, ob obs.O
 		emb = embed.NewDomainEmbedder(128)
 	}
 	pred := baseline.Train(o.History, o.KBase, emb)
-	reg, store := newRegistry(in, o.History, emb)
+	reg := newRegistry(in, o.History, emb)
 	reg, _ = injectFaults(reg, o.Faults, seed)
 	reg = observeRegistry(reg, ob)
 	emitStart(ob, in, seed)
@@ -255,7 +253,6 @@ func (o *OneShotRunner) RunObserved(in *scenarios.Instance, seed int64, ob obs.O
 	}
 	res.Correct = out.Mitigated && in.Succeeded(out.Applied)
 	res.RootCause = out.Predicted == in.Incident.Truth.RootCause
-	emitCacheStats(ob, in, store)
 	emitEnd(ob, in, res)
 	return res
 }
@@ -296,7 +293,7 @@ func (c *ControlRunner) RunObserved(in *scenarios.Instance, seed int64, o obs.Ob
 		exp = 0.8
 	}
 	eng := &oce.Engineer{Expertise: exp, KBase: c.KBase, Rng: randsrc.New(seed ^ 0xabcdef)}
-	reg, store := newRegistry(in, c.History, embed.NewDomainEmbedder(128))
+	reg := newRegistry(in, c.History, embed.NewDomainEmbedder(128))
 	reg, _ = injectFaults(reg, c.Faults, seed)
 	reg = observeRegistry(reg, o)
 	emitStart(o, in, seed)
@@ -312,7 +309,6 @@ func (c *ControlRunner) RunObserved(in *scenarios.Instance, seed int64, o obs.Ob
 		Applied:   out.Applied,
 	}
 	res.Correct = out.Mitigated && in.Succeeded(out.Applied)
-	emitCacheStats(o, in, store)
 	emitEnd(o, in, res)
 	return res
 }
@@ -323,7 +319,7 @@ func (c *ControlRunner) RunObserved(in *scenarios.Instance, seed int64, o obs.Ob
 // core.NewPostmortem needs. Events stream into o live when non-nil.
 func RunSession(model llm.Model, kbase *kb.KB, cfg core.Config, expertise float64, hist *kb.History, in *scenarios.Instance, seed int64, o obs.Observer) (Result, *core.Outcome) {
 	o = obs.WithRunner(o, "iterative-helper")
-	reg, store := newRegistry(in, hist, embed.NewDomainEmbedder(128))
+	reg := newRegistry(in, hist, embed.NewDomainEmbedder(128))
 	_ = reg.Register("im", tools.NewNLQueryTool(model)) // verified NL query, §4.4
 	helper := &core.Helper{Model: model, Tools: reg, Quant: &risk.Assessor{}, Config: cfg, Obs: o}
 	if expertise == 0 {
@@ -333,7 +329,6 @@ func RunSession(model llm.Model, kbase *kb.KB, cfg core.Config, expertise float6
 	emitStart(o, in, seed)
 	out := helper.Run(in.World, in.Incident, watcher)
 	res := helperResult(in, out)
-	emitCacheStats(o, in, store)
 	emitEnd(o, in, res)
 	return res, out
 }

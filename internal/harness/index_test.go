@@ -9,55 +9,37 @@ import (
 	"repro/internal/embed"
 	"repro/internal/harness"
 	"repro/internal/kb"
-	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/randsrc"
 	"repro/internal/replayer"
 	"repro/internal/scenarios"
 )
 
-// embedMisses runs one observed one-shot session on gray-link and
-// returns the embedding-memo misses its similar-incidents store
-// reported. The one-shot baseline never queries that store, so the
-// count is the store's build: one miss per distinct history text.
-func embedMisses(t *testing.T, r *harness.OneShotRunner) int64 {
-	t.Helper()
-	rec := obs.AcquireRecorder("index-test")
-	defer rec.Release()
-	r.RunObserved((&scenarios.GrayLink{}).Build(randsrc.New(3)), 3, rec)
-	for _, ev := range rec.Events {
-		if ev.Type == obs.EvCacheStats && ev.Cache == "embed" {
-			return ev.CacheMisses
-		}
-	}
-	t.Fatal("session emitted no embed cache-stats event")
-	return 0
-}
-
 // TestHistoryAddInvalidatesSessionIndex: the history's indexes are
-// built once per version, so after hist.Add the next session must see
-// the new record — its store embeds one more text.
+// built once per version, so after hist.Add a fork of the session's
+// similar-incidents index, and the one-shot baseline's, must hold the
+// new record and retrieve it.
 func TestHistoryAddInvalidatesSessionIndex(t *testing.T) {
-	if !embed.EmbedCacheEnabled() {
-		t.Skip("embed cache disabled")
-	}
 	t.Parallel()
 	hist := replayer.Generate(replayer.Options{N: 40, Seed: 9}).History
-	r := &harness.OneShotRunner{History: hist, KBase: currentKB()}
-	before := embedMisses(t, r)
-	if again := embedMisses(t, r); again != before {
-		t.Fatalf("same history version: %d misses, then %d", before, again)
-	}
+	emb := embed.NewDomainEmbedder(128)
+	// The index a session's similar-incidents tool searches.
+	similar := func() *embed.Store { return hist.Index("similar-incidents", emb, kb.IncidentRecord.Text) }
+	before := similar()
 
 	rec := kb.IncidentRecord{
 		ID: "zz-new", Title: "Transceiver swap on the eu-north optical ring",
 		Summary: "A planned optics replacement left one ring segment dark for ninety seconds.", RootCause: kb.CLinkDown,
 	}
 	hist.Add(rec)
-	if got := embedMisses(t, r); got != before+1 {
-		t.Fatalf("after Add: %d embed misses, want %d", got, before+1)
+	after := similar()
+	if before.Len() != hist.Len()-1 || after.Len() != hist.Len() {
+		t.Fatalf("similar-incidents forks hold %d then %d records, history %d", before.Len(), after.Len(), hist.Len())
 	}
-	pred := baseline.Train(hist, currentKB(), embed.NewDomainEmbedder(128))
+	if hits := after.Search(rec.Text(), 1); len(hits) != 1 || hits[0].ID != rec.ID {
+		t.Fatalf("new record not retrievable from the similar-incidents index: %v", hits)
+	}
+	pred := baseline.Train(hist, currentKB(), emb)
 	if pred.Store.Len() != hist.Len() {
 		t.Fatalf("one-shot store has %d records, history %d", pred.Store.Len(), hist.Len())
 	}

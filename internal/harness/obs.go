@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"repro/internal/embed"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -54,31 +53,6 @@ func emitEnd(o obs.Observer, in *scenarios.Instance, res Result) {
 			Quarantined: res.Quarantined,
 			CostUSD:     res.CostUSD,
 		},
-	})
-}
-
-// emitCacheStats reports the session's fast-path cache counters: the
-// world's route-DAG cache (shared across its what-if clones) and the
-// vector store's embedding memo. Both counts are deterministic per trial
-// — they depend only on the session's own lookup sequence — so the
-// resulting events and aiops_cache_* aggregates stay byte-identical at
-// every worker count. With caches disabled the counts are zero and the
-// metrics layer emits no series.
-func emitCacheStats(o obs.Observer, in *scenarios.Instance, store *embed.Store) {
-	if o == nil {
-		return
-	}
-	rh, rm := in.World.Net.RouteCacheStats()
-	obs.Emit(o, obs.Event{
-		Type: obs.EvCacheStats, At: in.World.Clock.Now(),
-		Scenario: in.Scenario.Name(),
-		Cache:    "route", CacheHits: rh, CacheMisses: rm,
-	})
-	eh, em := store.CacheStats()
-	obs.Emit(o, obs.Event{
-		Type: obs.EvCacheStats, At: in.World.Clock.Now(),
-		Scenario: in.Scenario.Name(),
-		Cache:    "embed", CacheHits: eh, CacheMisses: em,
 	})
 }
 

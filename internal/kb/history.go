@@ -45,14 +45,12 @@ type History struct {
 }
 
 // indexKey names one derived index. The embedder's Name and Dim stand
-// for the embedder, the purity contract of the embedding memo; the
-// embed-cache setting decides the store's memo accounting.
+// for the embedder, the purity contract of the embedding memo.
 type indexKey struct {
 	version  uint64
 	kind     string
 	embedder string
 	dim      int
-	cached   bool
 }
 
 type indexSlot struct {
@@ -85,11 +83,10 @@ func (h *History) Add(r IncidentRecord) {
 // record, in ID order, under its ID with text(record) embedded by e.
 // kind names the text function: callers that index different texts use
 // different kinds. The frozen store is built on the first call for each
-// (version, kind, embedder, embed-cache setting); Index is safe for
-// concurrent use.
+// (version, kind, embedder); Index is safe for concurrent use.
 func (h *History) Index(kind string, e embed.Embedder, text func(IncidentRecord) string) *embed.Store {
 	h.mu.Lock()
-	key := indexKey{h.version, kind, e.Name(), e.Dim(), embed.EmbedCacheEnabled()}
+	key := indexKey{h.version, kind, e.Name(), e.Dim()}
 	slot := h.indexes[key]
 	if slot == nil {
 		if h.indexes == nil {

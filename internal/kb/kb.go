@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/embed"
 	"repro/internal/mitigation"
 )
 
@@ -129,11 +128,8 @@ func (k *KB) Version() int { return k.version }
 
 // Bump advances the KB version and returns the new value. Teams bump the
 // version when they land a batch of updates (a rollout, a postmortem).
-// Bumping evicts memoized embeddings: knowledge text may have changed,
-// so vectors derived from the old corpus must not be served.
 func (k *KB) Bump() int {
 	k.version++
-	embed.InvalidateCache()
 	return k.version
 }
 

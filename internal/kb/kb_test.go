@@ -203,30 +203,6 @@ func TestHistoryStore(t *testing.T) {
 	}
 }
 
-// Bump is the fleet's "knowledge changed" signal; it must evict the
-// process-wide embedding memo so vectors derived from retired corpus
-// text cannot be served to later sessions. Not parallel: it touches the
-// shared memo.
-func TestBumpEvictsEmbeddingMemo(t *testing.T) {
-	if !embed.EmbedCacheEnabled() {
-		t.Skip("embed cache disabled")
-	}
-	s := embed.NewStore(embed.NewDomainEmbedder(64))
-	s.Add("a", "packet loss in us-east")
-	s.Search("packet loss in us-east", 1)
-	h0, m0 := s.CacheStats()
-	if h0 == 0 {
-		t.Fatal("setup: repeat lookup should have warmed the memo")
-	}
-
-	Default().Bump()
-
-	s.Search("packet loss in us-east", 1)
-	if h, m := s.CacheStats(); h != h0 || m != m0+1 {
-		t.Fatalf("post-Bump lookup should miss: %d hits / %d misses, want %d / %d", h, m, h0, m0+1)
-	}
-}
-
 // History counts its mutations, LoadJSON's through Add, and an index
 // is rebuilt for each version: a fork taken after Add holds the new
 // record, while a fork taken before keeps its own view.

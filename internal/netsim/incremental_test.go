@@ -88,14 +88,19 @@ func sameDAG(a, b *RouteDAG) error {
 
 // checkPair routes one (src,dst,selector) through the cache (repair
 // path) and against the full-compute oracle, comparing the DAG and, when
-// this lookup freshly stored an entry (a miss), its distance field
+// this lookup stored a new entry (a miss), its distance field
 // against a fresh BFS. A hit's stored dist intentionally reflects the
 // entry's own down-set snapshot, not the live topology, so it is only
 // comparable right after a store.
 func checkPair(t *testing.T, n *Network, src, dst NodeID, sel PathSelector) {
 	t.Helper()
 	fl := &Flow{ID: "probe", Src: src, Dst: dst, DemandGbps: 1}
-	_, m0 := n.RouteCacheStats()
+	key := ""
+	if fk, ok := sel.(FilterKeyer); ok {
+		key, _ = fk.FilterKey(fl)
+	}
+	rk := routeKey{src: src, dst: dst, filter: key}
+	before := n.rc.entries[rk]
 	got := RouteFlowDAG(n, fl, sel)
 	var filter NodeFilter
 	if sel != nil {
@@ -105,16 +110,9 @@ func checkPair(t *testing.T, n *Network, src, dst NodeID, sel PathSelector) {
 	if err := sameDAG(got, want); err != nil {
 		t.Fatalf("%s->%s: cached/repaired DAG diverged from oracle: %v", src, dst, err)
 	}
-	if _, m1 := n.RouteCacheStats(); m1 == m0 {
+	b := n.rc.entries[rk]
+	if b[0] == before[0] || b[0] == before[1] {
 		return // hit: no fresh store to audit
-	}
-	key := ""
-	if fk, ok := sel.(FilterKeyer); ok {
-		key, _ = fk.FilterKey(fl)
-	}
-	b := n.rc.entries[routeKey{src: src, dst: dst, filter: key}]
-	if b[0] == nil {
-		return
 	}
 	gotDist := b[0].dist
 	if (gotDist == nil) != (wantDist == nil) {

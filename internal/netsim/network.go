@@ -323,10 +323,10 @@ func (n *Network) Clone() *Network {
 }
 
 // Fork is Clone for an independent lineage: the copy gets a private
-// route cache holding the same entries and counters as n's, so it
-// routes and counts exactly as n would from here on, and may be used
-// from another goroutine than n's other forks. Fork never writes n, so
-// n must already be shared: it panics otherwise.
+// route cache holding the same entries as n's, so it routes exactly as
+// n would from here on, and may be used from another goroutine than n's
+// other forks. Fork never writes n, so n must already be shared: it
+// panics otherwise.
 func (n *Network) Fork() *Network {
 	if !n.shared() {
 		panic("netsim: Fork of a network that is not shared; call Share first")

@@ -87,14 +87,12 @@ type routeEntry struct {
 
 // routeCache holds two entries per key (MRU first) so risk assessment's
 // parent/clone alternation — same flows, pre- and post-mitigation
-// usable sets — doesn't thrash. Hit/miss counters feed the
-// aiops_cache_* metrics. It also owns the lineage's dense routing
-// scratch (see dagbuild.go).
+// usable sets — doesn't thrash. It also owns the lineage's dense
+// routing scratch (see dagbuild.go).
 type routeCache struct {
-	entries      map[routeKey][2]*routeEntry
-	hits, misses int64
-	repairs      int64 // misses answered by incremental repair, not full BFS
-	scratch      routeScratch
+	entries map[routeKey][2]*routeEntry
+	repairs int64 // misses answered by incremental repair, not full BFS
+	scratch routeScratch
 }
 
 func newRouteCache() *routeCache {
@@ -103,10 +101,9 @@ func newRouteCache() *routeCache {
 
 // fork returns a private copy of the cache for an independent lineage
 // (Network.Fork): the same entries, shared by pointer because an entry
-// is immutable once stored, and the same cumulative counters, with
-// fresh scratch.
+// is immutable once stored, with fresh scratch.
 func (c *routeCache) fork() *routeCache {
-	return &routeCache{entries: maps.Clone(c.entries), hits: c.hits, misses: c.misses, repairs: c.repairs}
+	return &routeCache{entries: maps.Clone(c.entries)}
 }
 
 func (c *routeCache) store(k routeKey, e *routeEntry) {
@@ -203,7 +200,6 @@ func (n *Network) cachedRouteDAG(f *Flow, sel PathSelector, dc **downSet) *Route
 	b := n.rc.entries[rk]
 	for i, e := range b {
 		if e != nil && n.entryValid(e) {
-			n.rc.hits++
 			if i == 1 {
 				b[0], b[1] = b[1], b[0]
 				n.rc.entries[rk] = b
@@ -211,7 +207,6 @@ func (n *Network) cachedRouteDAG(f *Flow, sel PathSelector, dc **downSet) *Route
 			return e.dag
 		}
 	}
-	n.rc.misses++
 	var filter NodeFilter
 	if sel != nil {
 		filter = sel.FilterFor(f)
@@ -230,13 +225,4 @@ func (n *Network) cachedRouteDAG(f *Flow, sel PathSelector, dc **downSet) *Route
 func RouteFlowDAG(n *Network, f *Flow, sel PathSelector) *RouteDAG {
 	var dc *downSet
 	return n.cachedRouteDAG(f, sel, &dc)
-}
-
-// RouteCacheStats reports the lineage-shared cache's cumulative hit and
-// miss counts (zero when caching is disabled).
-func (n *Network) RouteCacheStats() (hits, misses int64) {
-	if n.rc == nil {
-		return 0, 0
-	}
-	return n.rc.hits, n.rc.misses
 }

@@ -343,7 +343,7 @@ func (w *World) Clone() *World { return w.copyWorld(w.Net.Clone(), false) }
 // identical to w: everything Clone copies, plus the scheduled events, a
 // copy of the traffic report over the fork's own flows, attachments
 // that implement Attachment, and a private copy of the route cache with
-// its entries and counters. w.Net must be shared (Network.Share); Fork
+// its entries. w.Net must be shared (Network.Share); Fork
 // then only reads w, so a template world may be forked from many
 // goroutines at once. The template itself must never be mutated.
 func (w *World) Fork() *World { return w.copyWorld(w.Net.Fork(), true) }

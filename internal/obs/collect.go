@@ -55,8 +55,6 @@ const (
 	MFleetQueueDepth = "aiops_fleet_queue_depth_peak"
 	MFleetDrain      = "aiops_fleet_drain_minutes"
 	MFleetStolen     = "aiops_fleet_stolen_total"
-	MCacheHits       = "aiops_cache_hits_total"
-	MCacheMisses     = "aiops_cache_misses_total"
 	MGwThrottled     = "aiops_gateway_throttled_total"
 	MGwShed          = "aiops_gateway_shed_total"
 	MJournalRecords  = "aiops_journal_records_total"
@@ -98,8 +96,6 @@ func NewAIOpsRegistry() *Registry {
 	r.DeclareGauge(MFleetQueueDepth, "peak incidents waiting in the scheduler queue over the run")
 	r.DeclareGauge(MFleetDrain, "simulated minutes between the last arrival and the pool going idle (graceful drain)")
 	r.DeclareCounter(MFleetStolen, "saturated-region arrivals escalated to an idle responder in another region (by from/to region)")
-	r.DeclareCounter(MCacheHits, "what-if fast-path cache hits by cache (route|embed) — avoided recomputation, i.e. saved system cost")
-	r.DeclareCounter(MCacheMisses, "what-if fast-path cache misses by cache (route|embed)")
 	r.DeclareCounter(MGwThrottled, "gateway requests refused 429 by the per-caller token bucket")
 	r.DeclareCounter(MGwShed, "gateway creates refused 503 by queue-depth load shedding")
 	r.DeclareCounter(MJournalRecords, "state transitions appended to the write-ahead incident journal")
@@ -178,13 +174,6 @@ func Collect(r *Registry, e Event) {
 		labels := fleetLabels(e)
 		r.Inc(MFleetIncidents, labels, 1)
 		r.Inc(MFleetShed, labels, 1)
-	case EvCacheStats:
-		if e.CacheHits > 0 {
-			r.Inc(MCacheHits, Labels{"cache": e.Cache, "runner": e.Runner}, float64(e.CacheHits))
-		}
-		if e.CacheMisses > 0 {
-			r.Inc(MCacheMisses, Labels{"cache": e.Cache, "runner": e.Runner}, float64(e.CacheMisses))
-		}
 	case "approval":
 		r.Inc(MApprovals, Labels{"runner": e.Runner, "mode": e.Disposition}, 1)
 	case "veto":

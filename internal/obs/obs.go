@@ -61,9 +61,6 @@ const (
 	// EvFleetShed is one arrival the fleet scheduler's admission control
 	// refused (queue saturated) and handed straight to escalation.
 	EvFleetShed Type = "fleet-shed"
-	// EvCacheStats reports one cache's per-session hit/miss counts (the
-	// what-if fast path's route cache and the embedding memo).
-	EvCacheStats Type = "cache-stats"
 )
 
 // Event is one structured observation. Only the fields relevant to the
@@ -120,12 +117,6 @@ type Event struct {
 	// Resolution is the customer-experienced fleet resolution time —
 	// queueing delay plus penalized session TTM (fleet-incident events).
 	Resolution time.Duration `json:"resolution,omitempty"`
-
-	// Cache fields (cache-stats events): which cache, and its counts
-	// over the session.
-	Cache       string `json:"cache,omitempty"`
-	CacheHits   int64  `json:"cache_hits,omitempty"`
-	CacheMisses int64  `json:"cache_misses,omitempty"`
 
 	// Outcome is the session summary (session-end events only).
 	Outcome *SessionOutcome `json:"outcome,omitempty"`

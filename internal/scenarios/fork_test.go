@@ -29,8 +29,7 @@ import (
 // route-cache counters, traffic report and recorder series, and whether
 // each of faults is active. Scenario builds are the only program code
 // that injects faults, and each lists its fault in Truth.FaultIDs, so
-// those IDs cover every fault a session world can carry. The cache
-// counters are read before the report, which may recompute.
+// those IDs cover every fault a session world can carry.
 func worldDigest(w *netsim.World, faults []string) string {
 	h := sha256.New()
 	for _, nd := range w.Net.Nodes() {
@@ -49,8 +48,6 @@ func worldDigest(w *netsim.World, faults []string) string {
 		fmt.Fprintf(h, "fault %s %v\n", id, w.FaultActive(id))
 	}
 	fmt.Fprintf(h, "events %+v\nchanges %+v\n", w.Events(), w.Changes.All())
-	hits, misses := w.Net.RouteCacheStats()
-	fmt.Fprintf(h, "cache %d %d\n", hits, misses)
 	writeReport(h, w.Report())
 	if r := telemetry.RecorderOf(w); r != nil {
 		for _, k := range r.Keys() {
@@ -106,12 +103,11 @@ func forkTestRunners() []harness.ObservedRunner {
 
 // sessionRun is everything one session makes observable.
 type sessionRun struct {
-	incident     incident.Incident
-	result       harness.Result
-	events       []byte
-	hits, misses int64
-	world        string
-	steps        []string // per-report digests; probed runs only
+	incident incident.Incident
+	result   harness.Result
+	events   []byte
+	world    string
+	steps    []string // per-report digests; probed runs only
 }
 
 // runSession runs one session on a fresh world or a fork. A probed run
@@ -133,7 +129,6 @@ func runSession(t *testing.T, sc scenarios.Scenario, r harness.ObservedRunner, s
 		t.Fatal(err)
 	}
 	run.events = buf.Bytes()
-	run.hits, run.misses = in.World.Net.RouteCacheStats()
 	run.world = worldDigest(in.World, in.Incident.Truth.FaultIDs)
 	return run
 }
@@ -141,8 +136,7 @@ func runSession(t *testing.T, sc scenarios.Scenario, r harness.ObservedRunner, s
 // TestForkMatchesFreshBuild is the differential oracle for template
 // forking: every scenario, three seeds and every runner, once on a
 // freshly built world and once on a fork, must produce the same
-// incident, result, event-stream bytes, route-cache counters and final
-// world state — with the route cache on, and again after turning it off
+// incident, result, event-stream bytes and final world state — with the route cache on, and again after turning it off
 // in the same process. A second, probed pair of runs compares every
 // traffic report the session computes, what-if clones included: the
 // fork's engine starts warm from the template's and each clone's from
@@ -169,10 +163,6 @@ func TestForkMatchesFreshBuild(t *testing.T) {
 					}
 					if !bytes.Equal(fresh.events, fork.events) {
 						t.Errorf("%s: event streams differ (%d vs %d bytes)", name, len(fresh.events), len(fork.events))
-					}
-					if fresh.hits != fork.hits || fresh.misses != fork.misses {
-						t.Errorf("%s: route cache hits/misses fresh %d/%d, fork %d/%d",
-							name, fresh.hits, fresh.misses, fork.hits, fork.misses)
 					}
 					if fresh.world != fork.world {
 						t.Errorf("%s: final world state differs", name)

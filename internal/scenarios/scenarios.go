@@ -59,7 +59,7 @@ func (in *Instance) Succeeded(applied mitigation.Plan) bool {
 // and a latency-sensitive directconnect customer tunnel.
 //
 // The world is built once per process (per route-cache setting, since
-// the cache's contents and counters depend on it) and every call
+// the cache's contents depend on it) and every call
 // returns an independent fork of that template, observationally
 // identical to a fresh build (see netsim.World.Fork).
 func StandardWorld() *netsim.World {
