@@ -151,7 +151,7 @@ func TestSystemPostmortem(t *testing.T) {
 			t.Errorf("postmortem missing %q", want)
 		}
 	}
-	if pm.Costs.LLMCalls == 0 || pm.Costs.CostUSD <= 0 {
+	if pm.Costs.LLMCalls == 0 || pm.Costs.Tokens <= 0 {
 		t.Errorf("postmortem costs not populated: %+v", pm.Costs)
 	}
 }

@@ -11,7 +11,6 @@
 package baseline
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"time"
@@ -26,10 +25,8 @@ import (
 
 // Prediction is the one-shot output.
 type Prediction struct {
-	RootCause  string
-	Confidence float64
-	Template   []mitigation.Action // mitigation templates for the root cause
-	Neighbors  []embed.Hit
+	RootCause string
+	Template  []mitigation.Action // mitigation templates for the root cause
 }
 
 // OneShot is the retrieval-based one-shot predictor: embed the incident
@@ -87,16 +84,7 @@ func (o *OneShot) Predict(inc *incident.Incident) (Prediction, bool) {
 		return causes[i] < causes[j]
 	})
 	best := causes[0]
-	var total float64
-	for _, v := range votes {
-		total += v
-	}
-	return Prediction{
-		RootCause:  best,
-		Confidence: votes[best] / total,
-		Template:   o.KBase.Mitigations(best),
-		Neighbors:  hits,
-	}, true
+	return Prediction{RootCause: best, Template: o.KBase.Mitigations(best)}, true
 }
 
 // Outcome mirrors the helper outcome for the evaluation harness.
@@ -145,7 +133,7 @@ func (o *OneShot) Execute(w *netsim.World, inc *incident.Incident, reg *tools.Re
 		}
 	}
 
-	plan := mitigation.Plan{Rationale: fmt.Sprintf("one-shot: nearest incidents say %s", pred.RootCause)}
+	var plan mitigation.Plan
 	for _, t := range pred.Template {
 		targets := []string{t.Target}
 		if bound, okb := bindings[t.Target]; okb {

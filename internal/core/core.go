@@ -181,12 +181,6 @@ type Outcome struct {
 	// source was degraded; the verdict became inconclusive instead of an
 	// accept/reject.
 	Quarantined int
-	// BreakerTrips counts per-tool circuit breakers opened by repeated
-	// failures.
-	BreakerTrips int
-	// Rerouted counts tests redirected to the monitor cross-check while
-	// a breaker was open.
-	Rerouted int
 	// Confirmed is the deduction chain the helper validated, in order.
 	Confirmed []string
 	// Applied is the union of executed actions.

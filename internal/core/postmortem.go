@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/incident"
-	"repro/internal/llm"
 	"repro/internal/mitigation"
 	"repro/internal/obs"
 )
@@ -28,12 +27,11 @@ var timelineKinds = map[obs.Type]bool{
 }
 
 // PostmortemCosts is the §3 bookkeeping block of a postmortem: system
-// cost (tool and model usage, dollars) and the mistake overheads.
+// cost (tool and model usage) and the mistake overheads.
 type PostmortemCosts struct {
 	ToolCalls        int
 	LLMCalls         int
 	Tokens           int
-	CostUSD          float64
 	WrongMitigations int
 	SecondaryImpact  int
 	PlanErrors       int
@@ -92,7 +90,6 @@ func NewPostmortem(inc *incident.Incident, out *Outcome) *PostmortemReport {
 			ToolCalls:        out.ToolCalls,
 			LLMCalls:         out.LLMUsage.Calls,
 			Tokens:           out.LLMUsage.Prompt + out.LLMUsage.Completion,
-			CostUSD:          out.LLMUsage.DollarCost(llm.DefaultPricing()),
 			WrongMitigations: out.WrongMitigations,
 			SecondaryImpact:  out.SecondaryImpact,
 			PlanErrors:       out.PlanErrors,

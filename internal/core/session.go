@@ -51,7 +51,6 @@ const stabilityWindow = 6 * time.Minute
 type session struct {
 	h   *Helper
 	w   *netsim.World
-	inc *incident.Incident
 	oce *OCE
 	cfg Config
 
@@ -71,7 +70,7 @@ type session struct {
 func (h *Helper) Run(w *netsim.World, inc *incident.Incident, oce *OCE) *Outcome {
 	cfg := h.Config.withDefaults()
 	s := &session{
-		h: h, w: w, inc: inc, oce: oce, cfg: cfg,
+		h: h, w: w, oce: oce, cfg: cfg,
 		attempted: map[string]bool{},
 		breaker:   map[string]*breakerState{},
 		out:       &Outcome{},
@@ -415,7 +414,6 @@ func (s *session) recordToolFailure(name string) {
 	if b.consecutiveFails >= r.BreakerThreshold && !s.breakerOpen(name) {
 		b.openUntil = s.w.Clock.Now() + r.cooldown()
 		b.consecutiveFails = 0
-		s.out.BreakerTrips++
 		s.trace(StepBreaker, fmt.Sprintf("circuit breaker for %s opened for %s after repeated failures", name, r.cooldown()))
 	}
 }
@@ -433,7 +431,6 @@ func (s *session) breakerOpen(name string) bool {
 // findings enter the evidence stream; the hypothesis verdict stays
 // inconclusive.
 func (s *session) rerouteTest(broken string) {
-	s.out.Rerouted++
 	cc, ok := s.h.Tools.Get(kb.ToolMonitorCheck)
 	if !ok {
 		s.trace(StepBreaker, fmt.Sprintf("breaker open for %s and no %s tool to reroute to", broken, kb.ToolMonitorCheck))
@@ -516,19 +513,18 @@ func (s *session) planMitigation(cause string) (plan mitigation.Plan, planned, r
 		return mitigation.Plan{}, false, false
 	}
 	escalateOnly := true
-	for _, pa := range proposed {
-		if strings.HasPrefix(pa.Action.Target, "$") {
+	for _, a := range proposed {
+		if strings.HasPrefix(a.Target, "$") {
 			// Unbound placeholder: the planner lacks a concrete target;
 			// keep investigating instead of guessing.
-			s.trace(StepPlanRejected, fmt.Sprintf("plan for %s has unbound target %s", cause, pa.Action.Target))
+			s.trace(StepPlanRejected, fmt.Sprintf("plan for %s has unbound target %s", cause, a.Target))
 			return mitigation.Plan{}, false, false
 		}
-		if pa.Action.Kind != mitigation.Escalate {
+		if a.Kind != mitigation.Escalate {
 			escalateOnly = false
 		}
-		plan.Actions = append(plan.Actions, pa.Action)
-		plan.Rationale = pa.Reason
 	}
+	plan.Actions = proposed
 	if escalateOnly {
 		// The model knows no mitigation; treat as no plan so the chain
 		// can go deeper before the stall limit forces escalation.

@@ -17,6 +17,7 @@ import (
 	"repro/internal/llm"
 	"repro/internal/mitigation"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/scenarios"
 	"repro/internal/tools"
 )
@@ -70,7 +71,7 @@ func newFaultSession(m llm.Model, reg *tools.Registry, cfg Config) *session {
 	cfg = cfg.withDefaults()
 	h := &Helper{Model: m, Tools: reg, Config: cfg}
 	s := &session{
-		h: h, w: in.World, inc: in.Incident,
+		h: h, w: in.World,
 		oce:       NewOCE(1.0, kb.Default(), rand.New(rand.NewSource(12))),
 		cfg:       cfg,
 		attempted: map[string]bool{},
@@ -86,6 +87,18 @@ func planVia(tool string) map[string]string {
 		llm.TaskPlanTest:      "TEST: tool=" + tool + " reason=check the counters\n",
 		llm.TaskInterpretTest: "VERDICT: supported=true confidence=0.9 reason=seen\n",
 	}
+}
+
+// breakerSteps counts the session's breaker trace steps whose detail
+// contains substr: "opened" for a trip, "rerouting" for a reroute.
+func breakerSteps(s *session, substr string) int {
+	n := 0
+	for _, e := range s.out.Events {
+		if e.Type == obs.Type(StepBreaker) && strings.Contains(e.Detail, substr) {
+			n++
+		}
+	}
+	return n
 }
 
 func evidenceContains(s *session, substr string) bool {
@@ -172,11 +185,11 @@ func TestResilientRetriesChargeBackoffAndTripBreaker(t *testing.T) {
 	if s.out.ToolRetries != 2 {
 		t.Errorf("ToolRetries = %d, want 2", s.out.ToolRetries)
 	}
-	if s.out.BreakerTrips != 1 || !s.breakerOpen("ft") {
-		t.Errorf("breaker trips=%d open=%v, want 1/true", s.out.BreakerTrips, s.breakerOpen("ft"))
+	if trips := breakerSteps(s, "opened"); trips != 1 || !s.breakerOpen("ft") {
+		t.Errorf("breaker trips=%d open=%v, want 1/true", trips, s.breakerOpen("ft"))
 	}
-	if s.out.Rerouted != 1 || cc.calls != 1 {
-		t.Errorf("rerouted=%d crosscheck calls=%d, want 1/1", s.out.Rerouted, cc.calls)
+	if rerouted := breakerSteps(s, "rerouting"); rerouted != 1 || cc.calls != 1 {
+		t.Errorf("rerouted=%d crosscheck calls=%d, want 1/1", rerouted, cc.calls)
 	}
 	if s.out.ToolCalls != 4 { // 3 failed attempts + 1 cross-check
 		t.Errorf("ToolCalls = %d, want 4", s.out.ToolCalls)
@@ -207,8 +220,8 @@ func TestResilientRecoversFromFlakyTool(t *testing.T) {
 	if d := s.w.Clock.Now() - before; d != want {
 		t.Errorf("flaky recovery charged %v, want %v", d, want)
 	}
-	if s.out.ToolRetries != 1 || s.out.BreakerTrips != 0 {
-		t.Errorf("retries=%d trips=%d, want 1/0", s.out.ToolRetries, s.out.BreakerTrips)
+	if trips := breakerSteps(s, "opened"); s.out.ToolRetries != 1 || trips != 0 {
+		t.Errorf("retries=%d trips=%d, want 1/0", s.out.ToolRetries, trips)
 	}
 	if b := s.breaker["ft"]; b == nil || b.consecutiveFails != 0 {
 		t.Errorf("success did not reset the breaker: %+v", b)
@@ -272,8 +285,8 @@ func TestOpenBreakerSkipsToolEntirely(t *testing.T) {
 	if ft.calls != 0 {
 		t.Errorf("open breaker still invoked the broken tool %d times", ft.calls)
 	}
-	if s.out.Rerouted != 1 || cc.calls != 1 {
-		t.Errorf("rerouted=%d crosscheck calls=%d, want 1/1", s.out.Rerouted, cc.calls)
+	if rerouted := breakerSteps(s, "rerouting"); rerouted != 1 || cc.calls != 1 {
+		t.Errorf("rerouted=%d crosscheck calls=%d, want 1/1", rerouted, cc.calls)
 	}
 }
 

@@ -19,12 +19,8 @@ type ArmStats struct {
 	TTMMinutes []float64 // penalized TTM per incident
 	Mitigated  int
 	Correct    int
-	Escalated  int
 	Wrong      int
 	Secondary  int
-	Tokens     int
-	// CostUSD totals the arm's model inference bill (§3 system cost).
-	CostUSD float64
 }
 
 // MeanTTM returns the arm's mean penalized TTM in minutes.
@@ -59,13 +55,8 @@ func (a *ArmStats) add(r harness.Result) {
 	if r.Correct {
 		a.Correct++
 	}
-	if r.Escalated {
-		a.Escalated++
-	}
 	a.Wrong += r.Wrong
 	a.Secondary += r.Secondary
-	a.Tokens += r.Tokens
-	a.CostUSD += r.CostUSD
 }
 
 // ABResult is the full randomized-trial outcome.
@@ -80,10 +71,6 @@ type ABResult struct {
 	EffectSize float64
 	// CI for the mean TTM difference (treatment - control), minutes.
 	DiffLo, DiffHi float64
-	// TrialErrors counts trials whose runner panicked; they are excluded
-	// from both arms (the parallel pool records the panic instead of
-	// crashing the evaluation).
-	TrialErrors int
 }
 
 // SignificantAt reports whether both the parametric and rank tests call
@@ -161,15 +148,15 @@ func ABTest(cfg ABConfig, treatment, control harness.Runner) *ABResult {
 		cfg.Obs.Absorb(rec)
 		rec.Release()
 	}
+	// A trial whose runner panicked stays in its arm as an escalation
+	// at the full penalty, so a crashing arm cannot look better by
+	// losing its failures.
 	for i, tr := range trials {
-		if tr.Err != nil {
-			res.TrialErrors++
-			continue
-		}
+		r := harness.PoolResult(draws[i].sc, tr)
 		if draws[i].treatment {
-			res.Treatment.add(tr.Value)
+			res.Treatment.add(r)
 		} else {
-			res.Control.add(tr.Value)
+			res.Control.add(r)
 		}
 	}
 	res.Welch = WelchT(res.Treatment.TTMMinutes, res.Control.TTMMinutes)

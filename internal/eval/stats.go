@@ -150,9 +150,8 @@ func StudentTCDF(t, df float64) float64 {
 
 // TTestResult is the outcome of a two-sample test.
 type TTestResult struct {
-	T  float64 // test statistic
-	DF float64 // Welch-Satterthwaite degrees of freedom
-	P  float64 // two-sided p-value
+	T float64 // test statistic
+	P float64 // two-sided p-value
 }
 
 // WelchT runs Welch's unequal-variance t-test on two samples and returns
@@ -174,7 +173,7 @@ func WelchT(a, b []float64) TTestResult {
 	if p > 1 {
 		p = 1
 	}
-	return TTestResult{T: t, DF: df, P: p}
+	return TTestResult{T: t, P: p}
 }
 
 // MannWhitneyU runs the two-sided Mann-Whitney U test using the normal
@@ -232,7 +231,7 @@ func MannWhitneyU(a, b []float64) TTestResult {
 	if p > 1 {
 		p = 1
 	}
-	return TTestResult{T: z, DF: n - 2, P: p}
+	return TTestResult{T: z, P: p}
 }
 
 func normalCDF(z float64) float64 {

@@ -23,7 +23,6 @@ import (
 // control, and the completion loop. It is not safe for concurrent use;
 // ShardedScheduler serializes it under its mutex.
 type engine struct {
-	oces       int
 	policy     Policy
 	queueLimit int
 	agingStep  time.Duration
@@ -48,7 +47,7 @@ type engine struct {
 
 func newEngine(oces int, policy Policy, queueLimit int, agingStep time.Duration) *engine {
 	return &engine{
-		oces: oces, policy: policy, queueLimit: queueLimit, agingStep: agingStep,
+		policy: policy, queueLimit: queueLimit, agingStep: agingStep,
 		busy: make([]bool, oces), busyUntil: make([]time.Duration, oces),
 	}
 }

@@ -110,8 +110,6 @@ type Config struct {
 
 // Outcome is one arrival's fleet-level record.
 type Outcome struct {
-	// Index is the arrival index; seeds and scenarios derive from it.
-	Index int
 	// Scenario names the incident class.
 	Scenario string
 	// Severity is the incident's severity class (0..3; 3 most severe).
@@ -165,8 +163,6 @@ type Report struct {
 	// MitigatedRate is the fraction of all arrivals the runner
 	// mitigated itself (shed arrivals count against it).
 	MitigatedRate float64
-	// ShedRate is Shed over all arrivals.
-	ShedRate float64
 	// PeakQueueDepth is the deepest the waiting queue ever got.
 	PeakQueueDepth int
 	// Drain is the simulated time between the latest arrival and the
@@ -322,7 +318,6 @@ func aggregate(rep *Report, oces int, sink *obs.Sink, busySum, makespan time.Dur
 		rep.Utilization = float64(busySum) / (float64(makespan) * float64(oces))
 	}
 	rep.MitigatedRate = float64(mitigated) / float64(n)
-	rep.ShedRate = float64(rep.Shed) / float64(n)
 	if makespan > last {
 		rep.Drain = makespan - last
 	}

@@ -140,7 +140,7 @@ func TestLiveMatchesEngineSemantics(t *testing.T) {
 	eng := newEngine(1, SeverityAging, 2, 30*time.Minute)
 	for i, a := range arrivals {
 		eng.add(Outcome{
-			Index: i, Scenario: a.Scenario, Severity: a.Severity,
+			Scenario: a.Scenario, Severity: a.Severity,
 			Region: DefaultRegion, ArrivedAt: a.At, Result: a.Result,
 		})
 		eng.arrive(i)

@@ -348,7 +348,7 @@ func (s *ShardedScheduler) admitLocked(a LiveArrival) {
 // region, even when placed on a foreign shard by stealing.
 func (s *ShardedScheduler) placeLocked(sh *regionShard, a LiveArrival) int {
 	idx := sh.eng.add(Outcome{
-		Index: len(sh.eng.outcomes), Scenario: a.Scenario, Severity: a.Severity,
+		Scenario: a.Scenario, Severity: a.Severity,
 		Region: a.Region, ArrivedAt: a.At, Result: a.Result,
 	})
 	sh.ids = append(sh.ids, a.ID)
@@ -601,7 +601,6 @@ func (s *ShardedScheduler) buildReportLocked() *ShardedReport {
 	outs := make([]Outcome, len(refs))
 	for i, rf := range refs {
 		outs[i] = rf.sh.eng.outcomes[rf.idx]
-		outs[i].Index = i
 	}
 	total := &Report{Outcomes: outs, Shed: shed, PeakQueueDepth: peak}
 	total.Admitted = len(outs) - shed

@@ -215,7 +215,7 @@ func TestShardedSingleRegionMatchesLive(t *testing.T) {
 	eng := newEngine(2, SeverityAging, 4, 30*time.Minute)
 	for i, a := range arrivals {
 		eng.add(Outcome{
-			Index: i, Scenario: a.Scenario, Severity: a.Severity,
+			Scenario: a.Scenario, Severity: a.Severity,
 			Region: DefaultRegion, ArrivedAt: a.At, Result: a.Result,
 		})
 		eng.arrive(i)

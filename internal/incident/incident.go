@@ -4,9 +4,10 @@
 //
 // The incident carries exactly the "predefined incident information" the
 // paper describes one-shot predictors consuming: a title, a prose
-// summary, the auto-generated alert digest, and coarse symptoms. The
-// ground truth (root cause concept, full causal chain, required
-// mitigation) is visible only to the harness, never to helpers.
+// summary that ends with the auto-generated alert digest, and coarse
+// symptoms derived from the alerts. The ground truth (root cause
+// concept, full causal chain, required mitigation) is visible only to
+// the harness, never to helpers.
 package incident
 
 import (
@@ -26,9 +27,6 @@ type Incident struct {
 	Summary  string
 	Severity int // 0..3, netsim.Severity values
 	OpenedAt time.Duration
-
-	// Alerts is the auto-generated digest attached at open time.
-	Alerts []telemetry.Alert
 
 	// Symptoms are the observable concepts extracted from the digest
 	// (kb.CPacketLoss etc.). This is the helper's starting evidence.
@@ -51,20 +49,9 @@ type GroundTruth struct {
 	// wan_failover, link_overload, packet_loss.
 	CausalChain []string
 
-	// FaultIDs are the active netsim faults backing the incident.
-	FaultIDs []string
-
 	// RequiredMitigations are alternative action sets; a plan that
 	// satisfies any one of them counts as a correct mitigation.
 	RequiredMitigations [][]mitigation.Action
-
-	// RootFixChange is the change-log ID whose rollback is the true
-	// fix, when the incident stems from a change ("" otherwise).
-	RootFixChange string
-
-	// Novel marks incidents whose causal chain involves knowledge absent
-	// from the version-1 KB (the adaptivity experiments key off this).
-	Novel bool
 }
 
 // ChainDepth is the number of deduction steps from the initial symptom
@@ -133,17 +120,16 @@ func Digest(alerts []telemetry.Alert) string {
 	return b.String()
 }
 
-// New assembles an incident from its parts, deriving symptoms from the
-// digest when none are supplied.
+// New assembles an incident from its parts: the alert digest is
+// appended to the summary and the symptoms are derived from the alerts.
 func New(id, title, summary string, severity int, openedAt time.Duration, alerts []telemetry.Alert, truth *GroundTruth) *Incident {
-	inc := &Incident{
+	return &Incident{
 		ID: id, Title: title,
 		Summary:  summary + "\n" + Digest(alerts),
 		Severity: severity, OpenedAt: openedAt,
-		Alerts: alerts, Truth: truth,
+		Symptoms: SymptomsFromAlerts(alerts),
+		Truth:    truth,
 	}
-	inc.Symptoms = SymptomsFromAlerts(alerts)
-	return inc
 }
 
 // Record converts a resolved incident into the history-store form,

@@ -138,8 +138,6 @@ type ReplayResult struct {
 	Records []Record
 	// Dropped counts torn/corrupt trailing lines discarded by the scan.
 	Dropped int
-	// Bytes is the size of the clean prefix.
-	Bytes int64
 }
 
 // MaxAtMinutes returns the latest transition time in the replay — the
@@ -167,7 +165,7 @@ type Journal struct {
 // record boundary, and returns the append handle positioned there.
 func Open(dir string) (*Journal, ReplayResult, error) {
 	var recs []Record
-	ff, good, dropped, err := OpenFrameFile(dir, FileName, func(payload []byte) bool {
+	ff, _, dropped, err := OpenFrameFile(dir, FileName, func(payload []byte) bool {
 		r, ok := decodePayload(payload)
 		if !ok {
 			return false
@@ -179,7 +177,7 @@ func Open(dir string) (*Journal, ReplayResult, error) {
 		return nil, ReplayResult{}, fmt.Errorf("journal: %w", err)
 	}
 	return &Journal{ff: ff},
-		ReplayResult{Records: recs, Dropped: dropped, Bytes: good}, nil
+		ReplayResult{Records: recs, Dropped: dropped}, nil
 }
 
 // Replay scans the journal in dir without opening it for append. A
@@ -192,8 +190,8 @@ func Replay(dir string) (ReplayResult, error) {
 	if err != nil {
 		return ReplayResult{}, fmt.Errorf("journal: %w", err)
 	}
-	recs, good, dropped := Decode(data)
-	return ReplayResult{Records: recs, Dropped: dropped, Bytes: int64(good)}, nil
+	recs, _, dropped := Decode(data)
+	return ReplayResult{Records: recs, Dropped: dropped}, nil
 }
 
 // Append encodes, writes, and fsyncs one record, returning the bytes

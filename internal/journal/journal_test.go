@@ -149,8 +149,15 @@ func TestOpenAppendReplay(t *testing.T) {
 	if !reflect.DeepEqual(rr2.Records, stamped(want)) {
 		t.Fatalf("replay mismatch:\n got %+v\nwant %+v", rr2.Records, stamped(want))
 	}
-	if rr2.Bytes != int64(total) || rr2.Dropped != 0 {
+	if rr2.Dropped != 0 {
 		t.Fatalf("replay stats: %+v", rr2)
+	}
+	fi, err := os.Stat(filepath.Join(dir, FileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(total) {
+		t.Fatalf("journal holds %d bytes, want the %d appended", fi.Size(), total)
 	}
 	if got := rr2.MaxAtMinutes(); got != 9 {
 		t.Fatalf("MaxAtMinutes = %v, want 9", got)

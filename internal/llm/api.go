@@ -21,19 +21,8 @@ import (
 	"unicode/utf8"
 )
 
-// Role identifies a chat message author.
-type Role string
-
-// Chat roles.
-const (
-	RoleSystem    Role = "system"
-	RoleUser      Role = "user"
-	RoleAssistant Role = "assistant"
-)
-
 // Message is one chat turn.
 type Message struct {
-	Role    Role
 	Content string
 }
 
@@ -65,10 +54,9 @@ func (u Usage) Total() int { return u.PromptTokens + u.CompletionTokens }
 
 // Response is a chat completion.
 type Response struct {
-	Content   string
-	Usage     Usage
-	Truncated bool // prompt exceeded the context window and was cut
-	Latency   time.Duration
+	Content string
+	Usage   Usage
+	Latency time.Duration
 }
 
 // Model is the LLM interface the helper modules program against. A

@@ -22,7 +22,7 @@ func FuzzSimLLMComplete(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prompt string) {
 		m := NewSimLLM(kb.Default(), 1)
 		m.HallucinationRate = 0.5
-		resp, err := m.Complete(Request{Messages: []Message{{Role: RoleUser, Content: prompt}}})
+		resp, err := m.Complete(Request{Messages: []Message{{Content: prompt}}})
 		if err != nil {
 			return // unknown/missing TASK errors are contractually fine
 		}

@@ -24,7 +24,7 @@ func TestParsersNeverPanicProperty(t *testing.T) {
 		}
 		ParseVerdict(s)
 		for _, a := range ParseActions(s) {
-			if a.Action.Kind == "" {
+			if a.Kind == "" {
 				return false
 			}
 		}

@@ -50,12 +50,6 @@ type Verdict struct {
 	Reason     string
 }
 
-// ProposedAction is one mitigation step with rationale.
-type ProposedAction struct {
-	Action mitigation.Action
-	Reason string
-}
-
 // RiskOpinion is the model's qualitative risk assessment.
 type RiskOpinion struct {
 	Level  string // low|medium|high
@@ -119,8 +113,8 @@ func BuildFormHypotheses(ctx PromptContext, beam int) Request {
 	fmt.Fprintf(&b, "TASK: %s\nBEAM: %d\n", TaskFormHypotheses, beam)
 	ctx.render(&b)
 	return Request{Messages: []Message{
-		{Role: RoleSystem, Content: "You are a network incident diagnosis assistant. Respond in the structured line format."},
-		{Role: RoleUser, Content: b.String()},
+		{Content: "You are a network incident diagnosis assistant. Respond in the structured line format."},
+		{Content: b.String()},
 	}}
 }
 
@@ -129,7 +123,7 @@ func BuildPlanTest(ctx PromptContext, hypothesis string) Request {
 	var b strings.Builder
 	fmt.Fprintf(&b, "TASK: %s\nHYPOTHESIS: %s\n", TaskPlanTest, hypothesis)
 	ctx.render(&b)
-	return Request{Messages: []Message{{Role: RoleUser, Content: b.String()}}}
+	return Request{Messages: []Message{{Content: b.String()}}}
 }
 
 // BuildInterpretTest asks whether tool output supports the hypothesis.
@@ -141,7 +135,7 @@ func BuildInterpretTest(ctx PromptContext, hypothesis, tool string, findings []s
 	for _, f := range findings {
 		fmt.Fprintf(&b, "FINDING: %s\n", strings.ReplaceAll(f, "\n", " | "))
 	}
-	return Request{Messages: []Message{{Role: RoleUser, Content: b.String()}}}
+	return Request{Messages: []Message{{Content: b.String()}}}
 }
 
 // BuildPlanMitigation asks for a mitigation plan for the confirmed root
@@ -150,7 +144,7 @@ func BuildPlanMitigation(ctx PromptContext, rootCause string) Request {
 	var b strings.Builder
 	fmt.Fprintf(&b, "TASK: %s\nROOTCAUSE: %s\n", TaskPlanMitigation, rootCause)
 	ctx.render(&b)
-	return Request{Messages: []Message{{Role: RoleUser, Content: b.String()}}}
+	return Request{Messages: []Message{{Content: b.String()}}}
 }
 
 // BuildAssessRisk asks for a qualitative risk opinion on a plan.
@@ -161,7 +155,7 @@ func BuildAssessRisk(ctx PromptContext, actions []mitigation.Action) Request {
 		fmt.Fprintf(&b, "ACTION: %s|%s|%s\n", a.Kind, a.Target, a.Param)
 	}
 	ctx.render(&b)
-	return Request{Messages: []Message{{Role: RoleUser, Content: b.String()}}}
+	return Request{Messages: []Message{{Content: b.String()}}}
 }
 
 // BuildTextToQuery asks the model to translate a natural-language
@@ -174,7 +168,7 @@ func BuildTextToQuery(question, feedback string) Request {
 	if feedback != "" {
 		fmt.Fprintf(&b, "FEEDBACK: %s\n", strings.ReplaceAll(feedback, "\n", " "))
 	}
-	return Request{Messages: []Message{{Role: RoleUser, Content: b.String()}}}
+	return Request{Messages: []Message{{Content: b.String()}}}
 }
 
 // ---------------------------------------------------------------------------
@@ -262,19 +256,16 @@ func ParseVerdict(content string) (Verdict, bool) {
 	return Verdict{}, false
 }
 
-// ParseActions extracts ACTION lines ("kind|target|param reason=...").
-func ParseActions(content string) []ProposedAction {
-	var out []ProposedAction
+// ParseActions extracts the actions of ACTION lines
+// ("kind|target|param reason=..."); the reason is not kept.
+func ParseActions(content string) []mitigation.Action {
+	var out []mitigation.Action
 	for _, line := range strings.Split(content, "\n") {
 		if !strings.HasPrefix(line, "ACTION:") {
 			continue
 		}
 		body := strings.TrimSpace(strings.TrimPrefix(line, "ACTION:"))
-		spec := body
-		reason := ""
-		if i := strings.Index(body, " reason="); i >= 0 {
-			spec, reason = body[:i], strings.TrimSpace(body[i+len(" reason="):])
-		}
+		spec, _, _ := strings.Cut(body, " reason=")
 		parts := strings.SplitN(spec, "|", 3)
 		if len(parts) < 2 {
 			continue
@@ -283,7 +274,7 @@ func ParseActions(content string) []ProposedAction {
 		if len(parts) == 3 {
 			a.Param = parts[2]
 		}
-		out = append(out, ProposedAction{Action: a, Reason: reason})
+		out = append(out, a)
 	}
 	return out
 }

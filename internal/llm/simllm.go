@@ -96,12 +96,10 @@ type prompt struct {
 	rules      []InContextRule
 	evidence   []string
 	hypothesis string
-	tool       string
 	findings   []string
 	rootCause  string
 	actions    []mitigation.Action
 	question   string
-	feedback   string
 }
 
 func parsePrompt(text string) prompt {
@@ -154,16 +152,12 @@ func parsePrompt(text string) prompt {
 			p.evidence = append(p.evidence, val)
 		case "HYPOTHESIS":
 			p.hypothesis = val
-		case "TOOL":
-			p.tool = val
 		case "FINDING":
 			p.findings = append(p.findings, val)
 		case "ROOTCAUSE":
 			p.rootCause = val
 		case "QUESTION":
 			p.question = val
-		case "FEEDBACK":
-			p.feedback = val
 		case "ACTION":
 			parts := strings.SplitN(val, "|", 3)
 			if len(parts) >= 2 {
@@ -205,8 +199,7 @@ func (m *SimLLM) Complete(req Request) (Response, error) {
 	}
 
 	resp := Response{
-		Content:   content,
-		Truncated: truncated,
+		Content: content,
 		Usage: Usage{
 			PromptTokens:     CountTokens(text),
 			CompletionTokens: CountTokens(content),

@@ -72,8 +72,7 @@ func (a Action) Matches(r Action) bool {
 
 // Plan is an ordered mitigation proposal.
 type Plan struct {
-	Actions   []Action
-	Rationale string
+	Actions []Action
 }
 
 // String lists the plan's actions.
@@ -159,10 +158,10 @@ func (e *Executor) Execute(a Action) error {
 	}
 	defer w.Invalidate()
 
-	record := func(desc string, targets ...netsim.NodeID) {
+	record := func() {
 		w.Changes.Add(netsim.ChangeRecord{
 			At: w.Clock.Now(), Team: e.Actor, Kind: netsim.ChangeMitigation,
-			Targets: targets, Description: desc,
+			Description: a.String(),
 		})
 	}
 
@@ -173,14 +172,14 @@ func (e *Executor) Execute(a Action) error {
 			return fmt.Errorf("mitigation: unknown link %q", a.Target)
 		}
 		l.Isolated = a.Kind == IsolateLink
-		record(a.String(), l.A, l.B)
+		record()
 	case IsolateDevice, DeisolateDevice:
 		nd := w.Net.MutNode(netsim.NodeID(a.Target))
 		if nd == nil {
 			return fmt.Errorf("mitigation: unknown device %q", a.Target)
 		}
 		nd.Isolated = a.Kind == IsolateDevice
-		record(a.String(), nd.ID)
+		record()
 	case RestartDevice:
 		nd := w.Net.MutNode(netsim.NodeID(a.Target))
 		if nd == nil {
@@ -188,7 +187,7 @@ func (e *Executor) Execute(a Action) error {
 		}
 		nd.Healthy = true
 		w.Logf(nd.ID, netsim.SevInfo, "device restarted by %s", e.Actor)
-		record(a.String(), nd.ID)
+		record()
 	case RollbackChange:
 		var rec *netsim.ChangeRecord
 		for _, r := range w.Changes.All() {
@@ -205,7 +204,7 @@ func (e *Executor) Execute(a Action) error {
 		if fid := rec.Details["fault_id"]; fid != "" {
 			w.Resolve(fid)
 		}
-		record(a.String())
+		record()
 	case DisableProtocol, EnableProtocol:
 		enable := a.Kind == EnableProtocol
 		for _, nd := range w.Net.Nodes() {
@@ -218,7 +217,7 @@ func (e *Executor) Execute(a Action) error {
 				w.Net.MutNode(nd.ID).Protocols[a.Target] = enable
 			}
 		}
-		record(a.String())
+		record()
 	case OverrideWAN:
 		if w.Ctl == nil {
 			return fmt.Errorf("mitigation: no traffic controller in this world")
@@ -233,7 +232,7 @@ func (e *Executor) Execute(a Action) error {
 		default:
 			return fmt.Errorf("mitigation: override-wan param %q must be healthy|failed|clear", a.Param)
 		}
-		record(a.String())
+		record()
 	case MoveService:
 		for _, f := range w.Flows() {
 			if f.Service == a.Target {
@@ -243,7 +242,7 @@ func (e *Executor) Execute(a Action) error {
 				f.Attrs["wan"] = a.Param
 			}
 		}
-		record(a.String())
+		record()
 	case RateLimitService:
 		frac, err := parseFraction(a.Param)
 		if err != nil {
@@ -254,13 +253,13 @@ func (e *Executor) Execute(a Action) error {
 				f.DemandGbps *= frac
 			}
 		}
-		record(a.String())
+		record()
 	case RepairMonitor:
 		w.Resolve("monitor-broken:" + a.Target)
-		record(a.String())
+		record()
 	case Escalate:
 		w.Logf("incident-manager", netsim.SevWarning, "escalated to %s by %s", a.Target, e.Actor)
-		record(a.String())
+		record()
 	case NoOp:
 	default:
 		return fmt.Errorf("mitigation: unknown action kind %q", a.Kind)

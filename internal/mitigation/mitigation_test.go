@@ -10,7 +10,7 @@ import (
 func smallWorld() *netsim.World {
 	n := netsim.NewNetwork()
 	bb := netsim.BuildBackbone(n, netsim.DefaultBackboneConfig())
-	ctlNode := n.AddNode(netsim.Node{ID: "traffic-controller", Kind: netsim.KindController, Region: "us-east", Pod: -1})
+	ctlNode := n.AddNode(netsim.Node{ID: "traffic-controller", Kind: netsim.KindController, Region: "us-east"})
 	ctl := netsim.NewController(ctlNode.ID, []string{"B4", "B2"})
 	w := netsim.NewWorld(n, ctl, bb)
 	for i, region := range bb.Regions {

@@ -106,3 +106,16 @@ func TestCloneRecomputeAllocs(t *testing.T) {
 		t.Fatalf("Clone + Recompute allocates %.1f objects/op, want at most 65", avg)
 	}
 }
+
+// TestMutNodeOnCloneAllocs pins the copy-on-write cost of the first
+// write to a node of a clone: the clone, its private node map, the
+// node's copy with its protocol set, and the clone's ownership set.
+// A node copy carries no other map.
+func TestMutNodeOnCloneAllocs(t *testing.T) {
+	w := scenarios.StandardWorld()
+	id := w.Net.Nodes()[0].ID
+	avg := testing.AllocsPerRun(50, func() { w.Net.Clone().MutNode(id).Healthy = false })
+	if avg > 9 {
+		t.Fatalf("Clone + MutNode allocates %.1f objects/op, want at most 9", avg)
+	}
+}

@@ -26,7 +26,6 @@ type ChangeRecord struct {
 	At          time.Duration // simulated time of the change
 	Team        string
 	Kind        ChangeKind
-	Targets     []NodeID
 	Description string
 	Details     map[string]string
 }

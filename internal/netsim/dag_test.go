@@ -90,7 +90,7 @@ func TestRouteDAGSelf(t *testing.T) {
 	t.Parallel()
 	n := dagWorldNet()
 	d := RouteDAGFor(n, "us-east-spine-0", "us-east-spine-0", nil)
-	if d == nil || d.Hops != 0 || len(d.TransitNodes()) != 0 {
+	if d == nil || d.hops() != 0 || len(d.TransitNodes()) != 0 {
 		t.Fatalf("self DAG = %+v", d)
 	}
 }

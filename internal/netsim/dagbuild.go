@@ -99,7 +99,6 @@ func trivialDAG(ot *ordTable, src NodeID, srcOrd int32) *RouteDAG {
 	return &RouteDAG{
 		Src:     src,
 		Dst:     src,
-		Hops:    0,
 		ot:      ot,
 		nodes:   []int32{srcOrd},
 		frac:    []float64{1},
@@ -182,7 +181,6 @@ func buildDAGFromDist(ot *ordTable, linkPtrs []*Link, src, dst NodeID, srcOrd, d
 	d := &RouteDAG{
 		Src:     src,
 		Dst:     dst,
-		Hops:    int(total),
 		ot:      ot,
 		nodes:   append([]int32(nil), nodesStage...),
 		frac:    make([]float64, k),

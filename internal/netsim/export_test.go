@@ -39,3 +39,19 @@ func (w *World) RemoveFlowsByService(service string) int {
 	w.report = nil
 	return removed
 }
+
+// hops is the route's shortest-path length: the successor steps from
+// src to dst. Every successor sits one level closer to dst, so any
+// first-successor walk takes the same number of steps; a walk that
+// stops short of dst returns -1.
+func (d *RouteDAG) hops() int {
+	i, n := 0, 0 // src is the first node
+	for d.succOff[i] < d.succOff[i+1] {
+		i = int(d.succs[d.succOff[i]].node)
+		n++
+	}
+	if i != len(d.nodes)-1 {
+		return -1
+	}
+	return n
+}

@@ -49,14 +49,14 @@ func BuildFatTree(n *Network, cfg FatTreeConfig) *FatTree {
 
 	for c := 0; c < half*half; c++ {
 		id := NodeID(fmt.Sprintf("%s-ft-core-%d", cfg.Region, c))
-		n.AddNode(Node{ID: id, Kind: KindSpine, Region: cfg.Region, Pod: -1, OSVersion: "sw-os-4.2"})
+		n.AddNode(Node{ID: id, Kind: KindSpine, Region: cfg.Region})
 		ft.Cores = append(ft.Cores, id)
 	}
 	for p := 0; p < cfg.K; p++ {
 		var podAggs []NodeID
 		for a := 0; a < half; a++ {
 			id := NodeID(fmt.Sprintf("%s-ft-agg-p%d-%d", cfg.Region, p, a))
-			n.AddNode(Node{ID: id, Kind: KindAgg, Region: cfg.Region, Pod: p, OSVersion: "sw-os-4.2"})
+			n.AddNode(Node{ID: id, Kind: KindAgg, Region: cfg.Region})
 			podAggs = append(podAggs, id)
 			ft.Aggs = append(ft.Aggs, id)
 			// Agg a connects to core group [a*half, (a+1)*half).
@@ -66,14 +66,14 @@ func BuildFatTree(n *Network, cfg FatTreeConfig) *FatTree {
 		}
 		for e := 0; e < half; e++ {
 			eid := NodeID(fmt.Sprintf("%s-ft-edge-p%d-%d", cfg.Region, p, e))
-			n.AddNode(Node{ID: eid, Kind: KindToR, Region: cfg.Region, Pod: p, OSVersion: "sw-os-4.1"})
+			n.AddNode(Node{ID: eid, Kind: KindToR, Region: cfg.Region})
 			ft.Edges = append(ft.Edges, eid)
 			for _, aid := range podAggs {
 				n.AddLink(eid, aid, cfg.LinkGbps, 0.02)
 			}
 			for h := 0; h < half; h++ {
 				hid := NodeID(fmt.Sprintf("%s-ft-host-p%d-e%d-h%d", cfg.Region, p, e, h))
-				n.AddNode(Node{ID: hid, Kind: KindHost, Region: cfg.Region, Pod: p})
+				n.AddNode(Node{ID: hid, Kind: KindHost, Region: cfg.Region})
 				n.AddLink(hid, eid, cfg.HostLinkGbps, 0.01)
 				ft.Hosts = append(ft.Hosts, hid)
 			}
@@ -138,8 +138,8 @@ func TestFatTreeAllPairsReachableWithEqualCost(t *testing.T) {
 	if d == nil {
 		t.Fatal("cross-pod hosts unreachable")
 	}
-	if d.Hops != 6 {
-		t.Errorf("cross-pod hops = %d, want 6", d.Hops)
+	if d.hops() != 6 {
+		t.Errorf("cross-pod hops = %d, want 6", d.hops())
 	}
 	// All 4 cores participate (full ECMP spread).
 	coresUsed := 0
@@ -153,7 +153,7 @@ func TestFatTreeAllPairsReachableWithEqualCost(t *testing.T) {
 	}
 	// Same-edge pair: 2 hops via the shared edge switch.
 	d2 := RouteDAGFor(n, ft.Hosts[0], ft.Hosts[1], nil)
-	if d2 == nil || d2.Hops != 2 {
+	if d2 == nil || d2.hops() != 2 {
 		t.Fatalf("same-edge DAG = %+v", d2)
 	}
 }

@@ -74,8 +74,8 @@ func sameDAG(a, b *RouteDAG) error {
 	if a == nil {
 		return nil
 	}
-	if a.Hops != b.Hops {
-		return fmt.Errorf("hops %d vs %d", a.Hops, b.Hops)
+	if a.hops() != b.hops() {
+		return fmt.Errorf("hops %d vs %d", a.hops(), b.hops())
 	}
 	if na, nb := nodeFracs(a), nodeFracs(b); !maps.Equal(na, nb) {
 		return fmt.Errorf("node fractions %v vs %v", na, nb)

@@ -135,9 +135,6 @@ func (n *Network) AddNode(node Node) *Node {
 	if node.Protocols == nil {
 		node.Protocols = make(map[string]bool)
 	}
-	if node.Attrs == nil {
-		node.Attrs = make(map[string]string)
-	}
 	stored := node
 	n.nodes[node.ID] = &stored
 	n.structVer++
@@ -195,8 +192,8 @@ func (n *Network) Link(id LinkID) *Link { return n.links[id] }
 
 // MutNode returns the node for mutation, materializing a private copy of
 // the map and struct when they are shared with a clone lineage. Every
-// write of mutable node state (Healthy, Isolated, OSVersion, Protocols,
-// Attrs) must go through it.
+// write of mutable node state (Healthy, Isolated, Protocols) must go
+// through it.
 func (n *Network) MutNode(id NodeID) *Node {
 	nd := n.nodes[id]
 	if nd == nil || !n.cow {

@@ -45,8 +45,8 @@ func TestAddNodeDefaults(t *testing.T) {
 	if !nd.Healthy {
 		t.Error("new node not healthy by default")
 	}
-	if nd.Protocols == nil || nd.Attrs == nil {
-		t.Error("maps not initialized")
+	if nd.Protocols == nil {
+		t.Error("protocol map not initialized")
 	}
 	if !nd.Usable() {
 		t.Error("healthy non-isolated node should be usable")

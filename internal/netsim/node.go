@@ -59,20 +59,15 @@ type Node struct {
 	ID      NodeID
 	Kind    NodeKind
 	Region  string
-	Pod     int    // pod index within a Clos fabric; -1 outside fabrics
 	WANName string // owning WAN for KindWANRouter, "" otherwise
 
 	Healthy  bool
 	Isolated bool
 
-	// OSVersion and Protocols model the software running on the device.
-	// Scenario faults key off these: e.g. the novel-protocol incident
-	// only wedges devices running the buggy protocol.
-	OSVersion string
+	// Protocols models the software running on the device. Scenario
+	// faults key off it: e.g. the novel-protocol incident only wedges
+	// devices running the buggy protocol.
 	Protocols map[string]bool
-
-	// Attrs carries free-form metadata surfaced to telemetry and tools.
-	Attrs map[string]string
 }
 
 // Usable reports whether the node can carry traffic.
@@ -87,10 +82,6 @@ func (n *Node) clone() *Node {
 	c.Protocols = make(map[string]bool, len(n.Protocols))
 	for k, v := range n.Protocols {
 		c.Protocols[k] = v
-	}
-	c.Attrs = make(map[string]string, len(n.Attrs))
-	for k, v := range n.Attrs {
-		c.Attrs[k] = v
 	}
 	return &c
 }

@@ -45,7 +45,7 @@ func TestRouteDAGFor(t *testing.T) {
 	}{
 		{name: "line", net: lineNet, src: "a", dst: "d",
 			check: func(t *testing.T, n *Network, d *RouteDAG) {
-				if d == nil || d.Hops != 3 {
+				if d == nil || d.hops() != 3 {
 					t.Fatalf("DAG = %+v, want 3 hops", d)
 				}
 				if got := d.TransitNodes(); !slices.Equal(got, []NodeID{"b", "c"}) {
@@ -55,14 +55,14 @@ func TestRouteDAGFor(t *testing.T) {
 		{name: "diamond", net: diamondNet, src: "a", dst: "d",
 			check: func(t *testing.T, n *Network, d *RouteDAG) {
 				nf := nodeFracs(d)
-				if d == nil || d.Hops != 2 || nf["b"] != 0.5 || nf["c"] != 0.5 {
+				if d == nil || d.hops() != 2 || nf["b"] != 0.5 || nf["c"] != 0.5 {
 					t.Fatalf("diamond fractions = %v, want b and c at 0.5", nf)
 				}
 			}},
 		{name: "self", net: lineNet, src: "a", dst: "a",
 			check: func(t *testing.T, n *Network, d *RouteDAG) {
 				nf := nodeFracs(d)
-				if d == nil || d.Hops != 0 || len(nf) != 1 || nf["a"] != 1 {
+				if d == nil || d.hops() != 0 || len(nf) != 1 || nf["a"] != 1 {
 					t.Fatalf("self DAG = %+v, want the trivial DAG", d)
 				}
 				for dl := range d.Links() {
@@ -114,7 +114,7 @@ func TestRouteDAGFor(t *testing.T) {
 				if d != nil {
 					t.Fatalf("filter should block transit: %v", nodeFracs(d))
 				}
-				if d := RouteDAGFor(n, "a", "b", denyAll); d == nil || d.Hops != 1 {
+				if d := RouteDAGFor(n, "a", "b", denyAll); d == nil || d.hops() != 1 {
 					t.Fatalf("adjacent nodes need no transit: got %+v", d)
 				}
 			}},

@@ -39,14 +39,14 @@ func BuildClos(n *Network, cfg ClosConfig) (spines []NodeID) {
 	}
 	for s := 0; s < cfg.Spines; s++ {
 		id := NodeID(fmt.Sprintf("%s-spine-%d", cfg.Region, s))
-		n.AddNode(Node{ID: id, Kind: KindSpine, Region: cfg.Region, Pod: -1, OSVersion: "sw-os-4.2"})
+		n.AddNode(Node{ID: id, Kind: KindSpine, Region: cfg.Region})
 		spines = append(spines, id)
 	}
 	for p := 0; p < cfg.Pods; p++ {
 		var aggs []NodeID
 		for a := 0; a < cfg.AggsPerPod; a++ {
 			id := NodeID(fmt.Sprintf("%s-agg-p%d-%d", cfg.Region, p, a))
-			n.AddNode(Node{ID: id, Kind: KindAgg, Region: cfg.Region, Pod: p, OSVersion: "sw-os-4.2"})
+			n.AddNode(Node{ID: id, Kind: KindAgg, Region: cfg.Region})
 			aggs = append(aggs, id)
 			for _, s := range spines {
 				n.AddLink(id, s, cfg.LinkGbps, 0.05)
@@ -54,13 +54,13 @@ func BuildClos(n *Network, cfg ClosConfig) (spines []NodeID) {
 		}
 		for t := 0; t < cfg.ToRsPerPod; t++ {
 			tid := NodeID(fmt.Sprintf("%s-tor-p%d-%d", cfg.Region, p, t))
-			n.AddNode(Node{ID: tid, Kind: KindToR, Region: cfg.Region, Pod: p, OSVersion: "sw-os-4.1"})
+			n.AddNode(Node{ID: tid, Kind: KindToR, Region: cfg.Region})
 			for _, a := range aggs {
 				n.AddLink(tid, a, cfg.LinkGbps, 0.02)
 			}
 			for h := 0; h < cfg.HostsPerToR; h++ {
 				hid := NodeID(fmt.Sprintf("%s-host-p%d-t%d-h%d", cfg.Region, p, t, h))
-				n.AddNode(Node{ID: hid, Kind: KindHost, Region: cfg.Region, Pod: p})
+				n.AddNode(Node{ID: hid, Kind: KindHost, Region: cfg.Region})
 				n.AddLink(hid, tid, cfg.HostLinkGbps, 0.01)
 			}
 		}
@@ -135,7 +135,7 @@ func BuildBackbone(n *Network, cfg BackboneConfig) *Backbone {
 		spinesByRegion[region] = spines
 		for g := 0; g < cfg.GatewaysPerRegion; g++ {
 			gid := NodeID(fmt.Sprintf("%s-gw-%d", region, g))
-			n.AddNode(Node{ID: gid, Kind: KindGateway, Region: region, Pod: -1, OSVersion: "gw-os-7.0"})
+			n.AddNode(Node{ID: gid, Kind: KindGateway, Region: region})
 			bb.Gateways[region] = append(bb.Gateways[region], gid)
 			for _, s := range spines {
 				n.AddLink(gid, s, 400, 0.05)
@@ -148,7 +148,7 @@ func BuildBackbone(n *Network, cfg BackboneConfig) *Backbone {
 		for _, region := range cfg.Regions {
 			for r := 0; r < w.RoutersPer; r++ {
 				rid := NodeID(fmt.Sprintf("%s-%s-r%d", w.Name, region, r))
-				n.AddNode(Node{ID: rid, Kind: KindWANRouter, Region: region, Pod: -1, WANName: w.Name, OSVersion: "wan-os-2.3"})
+				n.AddNode(Node{ID: rid, Kind: KindWANRouter, Region: region, WANName: w.Name})
 				perRegion[region] = append(perRegion[region], rid)
 				bb.WANRouters[w.Name] = append(bb.WANRouters[w.Name], rid)
 				for _, gid := range bb.Gateways[region] {

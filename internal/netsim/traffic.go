@@ -57,7 +57,6 @@ type dirFrac struct {
 // aggregate).
 type RouteDAG struct {
 	Src, Dst NodeID
-	Hops     int
 
 	// The route in dense form over the ordinal table it was computed
 	// against (see ordinal.go): nodes lists node ordinals in level order

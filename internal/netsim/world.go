@@ -41,7 +41,6 @@ type SyslogEvent struct {
 	Node     NodeID
 	Severity Severity
 	Message  string
-	Tags     map[string]string
 }
 
 // Trigger is a latent condition that converts traffic state into device

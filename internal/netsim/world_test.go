@@ -14,7 +14,7 @@ import (
 func buildBackboneWorld() *World {
 	n := NewNetwork()
 	bb := BuildBackbone(n, DefaultBackboneConfig())
-	ctlNode := n.AddNode(Node{ID: "traffic-controller", Kind: KindController, Region: "us-east", Pod: -1})
+	ctlNode := n.AddNode(Node{ID: "traffic-controller", Kind: KindController, Region: "us-east"})
 	ctl := NewController(ctlNode.ID, []string{"B4", "B2"})
 	w := NewWorld(n, ctl, bb)
 

@@ -20,7 +20,6 @@ package parallel
 import (
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -49,11 +48,9 @@ func DeriveSeed(base int64, trial int) int64 {
 // from seed and must not mutate state shared with other trials.
 type TrialFunc[T any] func(seed int64, trial int) T
 
-// TrialResult is the recorded outcome of one trial, delivered in trial
-// order regardless of which worker ran it when.
+// TrialResult is the recorded outcome of one trial. RunTrials returns
+// trial i's result at index i, whichever worker ran it when.
 type TrialResult[T any] struct {
-	Trial   int
-	Seed    int64
 	Value   T
 	Err     error // non-nil iff the trial panicked; *PanicError
 	Elapsed time.Duration
@@ -64,7 +61,6 @@ type TrialResult[T any] struct {
 type PanicError struct {
 	Trial int
 	Value any
-	Stack []byte
 }
 
 // Error implements error.
@@ -125,12 +121,11 @@ func RunTrials[T any](n, workers int, base int64, fn TrialFunc[T]) []TrialResult
 
 // runOne executes a single trial with panic capture and timing.
 func runOne[T any](trial int, seed int64, fn TrialFunc[T]) (tr TrialResult[T]) {
-	tr.Trial, tr.Seed = trial, seed
 	start := time.Now()
 	defer func() {
 		tr.Elapsed = time.Since(start)
 		if r := recover(); r != nil {
-			tr.Err = &PanicError{Trial: trial, Value: r, Stack: debug.Stack()}
+			tr.Err = &PanicError{Trial: trial, Value: r}
 		}
 	}()
 	tr.Value = fn(seed, trial)

@@ -24,9 +24,8 @@ func TestResultsIndependentOfWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(ref))
 		}
 		for i := range got {
-			if got[i].Trial != ref[i].Trial || got[i].Seed != ref[i].Seed || got[i].Value != ref[i].Value {
-				t.Fatalf("workers=%d trial %d: got (%d,%d,%d), want (%d,%d,%d)", workers, i,
-					got[i].Trial, got[i].Seed, got[i].Value, ref[i].Trial, ref[i].Seed, ref[i].Value)
+			if got[i].Value != ref[i].Value {
+				t.Fatalf("workers=%d trial %d: got %d, want %d", workers, i, got[i].Value, ref[i].Value)
 			}
 		}
 	}
@@ -38,8 +37,8 @@ func TestSeedsMatchDeriveSeed(t *testing.T) {
 	rs := RunTrials(20, 4, 7, func(seed int64, trial int) int64 { return seed })
 	for i, r := range rs {
 		want := DeriveSeed(7, i)
-		if r.Seed != want || r.Value != want {
-			t.Fatalf("trial %d: seed %d (value %d), want %d", i, r.Seed, r.Value, want)
+		if r.Value != want {
+			t.Fatalf("trial %d: seed %d, want %d", i, r.Value, want)
 		}
 	}
 }
@@ -74,8 +73,8 @@ func TestPanicCapture(t *testing.T) {
 	if err := rs[3].Err; !errors.As(err, &pe) {
 		t.Fatalf("trial 3 error = %v, want *PanicError", err)
 	}
-	if pe.Trial != 3 || len(pe.Stack) == 0 {
-		t.Fatalf("panic recorded on trial %d with %d stack bytes, want trial 3 with a stack", pe.Trial, len(pe.Stack))
+	if pe.Trial != 3 || pe.Value != "trial exploded" {
+		t.Fatalf("panic recorded on trial %d with value %v, want trial 3 with its panic value", pe.Trial, pe.Value)
 	}
 	for i, r := range rs {
 		if i != 3 && (r.Err != nil || r.Value != i*2) {

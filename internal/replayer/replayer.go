@@ -32,7 +32,6 @@ type CorpusItem struct {
 	Record   kb.IncidentRecord
 	Scenario string
 	Seed     int64
-	Resolved bool
 }
 
 // Corpus is a generated incident history.
@@ -91,7 +90,7 @@ func Generate(opts Options) *Corpus {
 		rec := in.Incident.Record(applied, ttm, sc.Name())
 		c.History.Add(rec)
 		c.Items = append(c.Items, CorpusItem{
-			Record: rec, Scenario: sc.Name(), Seed: seed, Resolved: out.Mitigated,
+			Record: rec, Scenario: sc.Name(), Seed: seed,
 		})
 	}
 	return c
@@ -99,11 +98,9 @@ func Generate(opts Options) *Corpus {
 
 // Item-level replay outcome.
 type ReplayItem struct {
-	ID          string
 	Scenario    string
 	OriginalTTM time.Duration
 	HelperTTM   time.Duration
-	Mitigated   bool
 	Match       bool
 	// CondEstimate is the conditional TTM estimate (mean over history
 	// conditioned on the helper's mitigation) for mismatched items;
@@ -271,11 +268,9 @@ func ReplayObserved(c *Corpus, r harness.Runner, workers int, sink *obs.Sink) *R
 func (c *Corpus) outcome(i int, res harness.Result) replayOutcome {
 	item := c.Items[i]
 	o := replayOutcome{item: ReplayItem{
-		ID:          item.Record.ID,
 		Scenario:    item.Scenario,
 		OriginalTTM: time.Duration(item.Record.TTMMinutes * float64(time.Minute)),
 		HelperTTM:   res.PenalizedTTM(),
-		Mitigated:   res.Mitigated,
 	}}
 	switch {
 	case !res.Mitigated:

@@ -25,7 +25,9 @@ func TestGenerateCorpus(t *testing.T) {
 		if it.Record.TTMMinutes <= 0 {
 			t.Fatalf("item %s has TTM %v", it.Record.ID, it.Record.TTMMinutes)
 		}
-		if it.Resolved {
+		// An unresolved item's TTM carries the escalation penalty, so a
+		// shorter one was resolved by the operator.
+		if it.Record.TTMMinutes < harness.EscalationPenalty.Minutes() {
 			resolved++
 			if len(it.Record.Mitigation) == 0 {
 				t.Fatalf("resolved item %s has no mitigation", it.Record.ID)
@@ -157,11 +159,11 @@ func TestReplayCountsCrashedTrial(t *testing.T) {
 		t.Fatalf("report has %d items, corpus %d: the crashed trial was dropped", len(rep.Items), len(c.Items))
 	}
 	crashed := rep.Items[5]
-	if crashed.ID != c.Items[5].Record.ID || crashed.Mitigated || crashed.HelperTTM != harness.EscalationPenalty {
+	if crashed.Scenario != c.Items[5].Scenario || crashed.Match || crashed.HelperTTM != harness.EscalationPenalty {
 		t.Fatalf("crashed item = %+v, want unresolved at the escalation penalty", crashed)
 	}
 	wantUnresolved := base.Unresolved
-	if base.Items[5].Mitigated {
+	if harness.BuildAndRun(inner, scenarios.ByName(c.Items[5].Scenario), c.Items[5].Seed).Mitigated {
 		wantUnresolved++
 	}
 	if rep.Unresolved != wantUnresolved {

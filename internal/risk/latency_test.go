@@ -35,10 +35,9 @@ func TestWhatIfPredictsResidualLatency(t *testing.T) {
 		t.Fatalf("cosmetic plan predicted latency ratio %v, want > 1.5", cosmetic.WorstLatencyRatio)
 	}
 
-	// The real fix: rolling back the maintenance restores latency.
-	fix := a.AssessPlan(in.World, mitigation.Plan{Actions: []mitigation.Action{
-		{Kind: mitigation.RollbackChange, Target: in.Incident.Truth.RootFixChange},
-	}})
+	// The real fix, the scenario's one required mitigation: rolling back
+	// the maintenance restores latency.
+	fix := a.AssessPlan(in.World, mitigation.Plan{Actions: in.Incident.Truth.RequiredMitigations[0]})
 	if fix.WorstLatencyRatio > 1.1 {
 		t.Fatalf("rollback predicted latency ratio %v, want ~1.0", fix.WorstLatencyRatio)
 	}

@@ -23,7 +23,6 @@ import (
 
 // ServiceImpact is one service's loss change under a candidate plan.
 type ServiceImpact struct {
-	Service    string
 	LossBefore float64
 	LossAfter  float64
 }
@@ -33,7 +32,6 @@ func (s ServiceImpact) Delta() float64 { return s.LossAfter - s.LossBefore }
 
 // Report is the quantitative what-if result for a plan.
 type Report struct {
-	Plan    mitigation.Plan
 	Impacts []ServiceImpact
 
 	// Score in [0,1]: demand-weighted harm probability proxy.
@@ -80,7 +78,7 @@ func (a *Assessor) AssessPlan(w *netsim.World, p mitigation.Plan) *Report {
 	// Recompute() minus the redundant re-solve per candidate plan.
 	before := w.Report()
 	clone := w.Clone()
-	r := &Report{Plan: p}
+	r := &Report{}
 
 	ex := &mitigation.Executor{World: clone, Actor: "what-if"}
 	if err := ex.ExecutePlan(p); err != nil {
@@ -103,7 +101,7 @@ func (a *Assessor) AssessPlan(w *netsim.World, p mitigation.Plan) *Report {
 	for _, svc := range services {
 		b := before.ServiceStats[svc]
 		aft := after.ServiceStats[svc]
-		si := ServiceImpact{Service: svc, LossBefore: b.LossRate}
+		si := ServiceImpact{LossBefore: b.LossRate}
 		if aft != nil {
 			si.LossAfter = aft.LossRate
 		}

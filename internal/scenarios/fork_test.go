@@ -24,13 +24,22 @@ import (
 	"repro/internal/telemetry"
 )
 
+// faultIDs returns the IDs of the world's active faults, sorted. The
+// world exports no list of them, only FaultActive, so this reads the
+// keys of its fault map by reflection.
+func faultIDs(w *netsim.World) []string {
+	var ids []string
+	for _, k := range reflect.ValueOf(w).Elem().FieldByName("faults").MapKeys() {
+		ids = append(ids, k.String())
+	}
+	slices.Sort(ids)
+	return ids
+}
+
 // worldDigest is a canonical hash of a world's observable state: nodes,
 // links, flows, controller, baselines, clock, syslog, change log,
-// route-cache counters, traffic report and recorder series, and whether
-// each of faults is active. Scenario builds are the only program code
-// that injects faults, and each lists its fault in Truth.FaultIDs, so
-// those IDs cover every fault a session world can carry.
-func worldDigest(w *netsim.World, faults []string) string {
+// traffic report and recorder series, and which faults are active.
+func worldDigest(w *netsim.World) string {
 	h := sha256.New()
 	for _, nd := range w.Net.Nodes() {
 		fmt.Fprintf(h, "node %+v\n", *nd)
@@ -44,9 +53,7 @@ func worldDigest(w *netsim.World, faults []string) string {
 	fmt.Fprintf(h, "ctl %+v\n", *w.Ctl)
 	fmt.Fprintf(h, "baselines %v %v %v\n", w.ServiceBaseline, w.LatencyBaseline, w.BrokenMonitors)
 	fmt.Fprintf(h, "clock %v\n", w.Clock.Now())
-	for _, id := range faults {
-		fmt.Fprintf(h, "fault %s %v\n", id, w.FaultActive(id))
-	}
+	fmt.Fprintf(h, "faults %v\n", faultIDs(w))
 	fmt.Fprintf(h, "events %+v\nchanges %+v\n", w.Events(), w.Changes.All())
 	writeReport(h, w.Report())
 	if r := telemetry.RecorderOf(w); r != nil {
@@ -129,7 +136,7 @@ func runSession(t *testing.T, sc scenarios.Scenario, r harness.ObservedRunner, s
 		t.Fatal(err)
 	}
 	run.events = buf.Bytes()
-	run.world = worldDigest(in.World, in.Incident.Truth.FaultIDs)
+	run.world = worldDigest(in.World)
 	return run
 }
 
@@ -193,7 +200,7 @@ func TestForkMatchesFreshBuild(t *testing.T) {
 func TestTemplateIntegrityUnderConcurrentForks(t *testing.T) {
 	t.Parallel()
 	tmpl := scenarios.StandardTemplate()
-	before := worldDigest(tmpl, nil)
+	before := worldDigest(tmpl)
 	helper := forkTestRunners()[0]
 	ids := make([][]string, 4)
 	var wg sync.WaitGroup
@@ -204,7 +211,7 @@ func TestTemplateIntegrityUnderConcurrentForks(t *testing.T) {
 			var last *scenarios.Instance
 			for i, sc := range scenarios.All() {
 				last = sc.Build(randsrc.New(100*g + int64(i)))
-				ids[g] = append(ids[g], last.Incident.Truth.FaultIDs...)
+				ids[g] = append(ids[g], faultIDs(last.World)...)
 				last.World.Clock.Advance(30 * time.Minute)
 				last.World.Recompute()
 			}
@@ -212,7 +219,7 @@ func TestTemplateIntegrityUnderConcurrentForks(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if after := worldDigest(tmpl, nil); after != before {
+	if after := worldDigest(tmpl); after != before {
 		t.Fatal("forking and running sessions changed the standard world template")
 	}
 	injected := slices.Concat(ids...)

@@ -46,7 +46,6 @@ func (s *DeviceFailure) Build(rng *rand.Rand) *Instance {
 	truth := &incident.GroundTruth{
 		RootCause:   kb.CDeviceDown,
 		CausalChain: []string{kb.CDeviceDown, kb.CPacketLoss},
-		FaultIDs:    []string{fault.ID()},
 		RequiredMitigations: [][]mitigation.Action{
 			{{Kind: mitigation.RestartDevice, Target: string(target)}},
 		},
@@ -84,7 +83,6 @@ func (s *GrayLink) Build(rng *rand.Rand) *Instance {
 	truth := &incident.GroundTruth{
 		RootCause:   kb.CLinkCorruption,
 		CausalChain: []string{kb.CLinkCorruption, kb.CPacketLoss},
-		FaultIDs:    []string{fault.ID()},
 		RequiredMitigations: [][]mitigation.Action{
 			{{Kind: mitigation.IsolateLink, Target: string(lid)}},
 		},
@@ -116,7 +114,6 @@ func (s *Congestion) Build(rng *rand.Rand) *Instance {
 	truth := &incident.GroundTruth{
 		RootCause:   kb.CTrafficSurge,
 		CausalChain: []string{kb.CTrafficSurge, kb.CLinkOverload, kb.CPacketLoss},
-		FaultIDs:    []string{fault.ID()},
 		RequiredMitigations: [][]mitigation.Action{
 			{{Kind: mitigation.RateLimitService, Target: "bulk-transfer"}},
 		},
@@ -147,7 +144,6 @@ func (s *FalseAlarm) Build(rng *rand.Rand) *Instance {
 	truth := &incident.GroundTruth{
 		RootCause:   kb.CMonitorFalseAlarm,
 		CausalChain: []string{kb.CMonitorFalseAlarm, kb.CPacketLoss},
-		FaultIDs:    []string{fault.ID()},
 		RequiredMitigations: [][]mitigation.Action{
 			{{Kind: mitigation.RepairMonitor, Target: telemetry.MonitorPingMesh}},
 		},
@@ -158,7 +154,7 @@ func (s *FalseAlarm) Build(rng *rand.Rand) *Instance {
 	w.Clock.Advance(time.Duration(2+rng.Intn(5)) * time.Minute)
 	w.Recompute()
 	alerts := []telemetry.Alert{{
-		At: w.Clock.Now(), Rule: "service-loss", Severity: netsim.SevError,
+		Rule: "service-loss", Severity: netsim.SevError,
 		Subject: "pingmesh",
 		Detail:  "pingmesh reports 10.0% packet loss on all region pairs (0/0 flows unrouted)",
 	}}
@@ -250,8 +246,6 @@ func (s *Cascade) Build(rng *rand.Rand) *Instance {
 		})
 		truth.RootCause = kb.CWANFailover
 		truth.CausalChain = []string{kb.CWANFailover, kb.CLinkOverload, kb.CPacketLoss}
-		truth.FaultIDs = []string{fault.ID()}
-		truth.RootFixChange = rec.ID
 		truth.RequiredMitigations = [][]mitigation.Action{
 			{{Kind: mitigation.RollbackChange, Target: rec.ID}},
 			overrideMitigation,
@@ -261,7 +255,6 @@ func (s *Cascade) Build(rng *rand.Rand) *Instance {
 		w.Inject(fault)
 		truth.RootCause = kb.CPrefixConflict
 		truth.CausalChain = []string{kb.CPrefixConflict, kb.CWANFailover, kb.CLinkOverload, kb.CPacketLoss}
-		truth.FaultIDs = []string{fault.ID()}
 		truth.RequiredMitigations = [][]mitigation.Action{overrideMitigation}
 	default: // 5: the full Casc-1 chain
 		fault := &netsim.ConfigInconsistencyFault{WAN: "B4", Prefix: "10.0.0.0/16", Clusters: []string{"us-west", "eu-north"}}
@@ -273,8 +266,6 @@ func (s *Cascade) Build(rng *rand.Rand) *Instance {
 		})
 		truth.RootCause = kb.CConfigInconsistency
 		truth.CausalChain = []string{kb.CConfigPush, kb.CConfigInconsistency, kb.CPrefixConflict, kb.CWANFailover, kb.CLinkOverload, kb.CPacketLoss}
-		truth.FaultIDs = []string{fault.ID()}
-		truth.RootFixChange = rec.ID
 		truth.RequiredMitigations = [][]mitigation.Action{
 			{{Kind: mitigation.RollbackChange, Target: rec.ID}},
 			overrideMitigation,
@@ -310,7 +301,7 @@ func (s *NovelProtocol) Build(rng *rand.Rand) *Instance {
 			w.Net.MutNode(nd.ID).Protocols[kb.FastpathProtocol] = true
 		}
 	}
-	rollout := w.Changes.Add(netsim.ChangeRecord{
+	w.Changes.Add(netsim.ChangeRecord{
 		At: 0, Team: "wan", Kind: netsim.ChangeProtocolRollout,
 		Description: "fastpath fast-reroute protocol enabled on B4 routers",
 		Details:     map[string]string{"protocol": kb.FastpathProtocol},
@@ -332,12 +323,9 @@ func (s *NovelProtocol) Build(rng *rand.Rand) *Instance {
 		CausalChain: []string{
 			kb.CProtocolRollout, kb.CProtocolBug, kb.CDeviceOSCrash, kb.CDeviceDown, kb.CPacketLoss,
 		},
-		FaultIDs:      []string{fault.ID()},
-		RootFixChange: rollout.ID,
 		RequiredMitigations: [][]mitigation.Action{
 			{{Kind: mitigation.DisableProtocol, Target: kb.FastpathProtocol}},
 		},
-		Novel: true,
 	}
 	title, summary := phraseFor(rng, "novel-protocol", "")
 	inc := detect(w, rng, nextIncidentID("PROTO"), title, summary, truth)
@@ -413,10 +401,8 @@ func (s *MaintenanceOverlap) Build(rng *rand.Rand) *Instance {
 	})
 
 	truth := &incident.GroundTruth{
-		RootCause:     kb.CMaintenance,
-		CausalChain:   []string{kb.CMaintenance, kb.CLinkDown, kb.CLatencySpike},
-		FaultIDs:      []string{fault.ID()},
-		RootFixChange: rec.ID,
+		RootCause:   kb.CMaintenance,
+		CausalChain: []string{kb.CMaintenance, kb.CLinkDown, kb.CLatencySpike},
 		RequiredMitigations: [][]mitigation.Action{
 			{{Kind: mitigation.RollbackChange, Target: rec.ID}},
 		},
@@ -484,7 +470,6 @@ func (s *GrayLinkFlapping) Build(rng *rand.Rand) *Instance {
 	truth := &incident.GroundTruth{
 		RootCause:   kb.CLinkCorruption,
 		CausalChain: []string{kb.CLinkCorruption, kb.CPacketLoss},
-		FaultIDs:    []string{fault.ID()},
 		RequiredMitigations: [][]mitigation.Action{
 			{{Kind: mitigation.IsolateLink, Target: string(lid)}},
 		},

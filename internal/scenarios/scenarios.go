@@ -99,7 +99,7 @@ var freshWorlds atomic.Bool
 func buildStandardWorld() *netsim.World {
 	n := netsim.NewNetwork()
 	bb := netsim.BuildBackbone(n, netsim.DefaultBackboneConfig())
-	ctlNode := n.AddNode(netsim.Node{ID: "traffic-controller", Kind: netsim.KindController, Region: "us-east", Pod: -1})
+	ctlNode := n.AddNode(netsim.Node{ID: "traffic-controller", Kind: netsim.KindController, Region: "us-east"})
 	ctl := netsim.NewController(ctlNode.ID, []string{"B4", "B2"})
 	w := netsim.NewWorld(n, ctl, bb)
 

@@ -2,6 +2,7 @@ package scenarios
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -78,7 +79,7 @@ func TestEveryScenarioDetectableAndMitigable(t *testing.T) {
 					t.Fatal("no ground truth")
 				}
 				if len(in.Incident.Symptoms) == 0 {
-					t.Fatalf("seed %d: incident has no symptoms (alerts=%v)", seed, in.Incident.Alerts)
+					t.Fatalf("seed %d: incident has no symptoms (summary %q)", seed, in.Incident.Summary)
 				}
 				if in.Incident.Truth.RootCause != sc.RootCauseClass() {
 					t.Fatalf("root cause %s != class %s", in.Incident.Truth.RootCause, sc.RootCauseClass())
@@ -120,13 +121,26 @@ func TestCascadeDepthsOrdered(t *testing.T) {
 	}
 }
 
+// knownToV1 reports whether the version-1 KB has a rule for every
+// cause -> effect step of a causal chain. A novel incident's chain
+// needs knowledge that only a later KB version adds.
+func knownToV1(chain []string) bool {
+	v1 := kb.Default()
+	for i := 0; i+1 < len(chain); i++ {
+		if !slices.ContainsFunc(v1.CausesOf(chain[i+1]), func(r kb.Rule) bool { return r.Cause == chain[i] }) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestNovelProtocolMarkedNovel(t *testing.T) {
 	t.Parallel()
 	in := (&NovelProtocol{}).Build(rand.New(rand.NewSource(2)))
-	if !in.Incident.Truth.Novel {
-		t.Fatal("novel-protocol not marked novel")
+	if knownToV1(in.Incident.Truth.CausalChain) {
+		t.Fatal("novel-protocol's causal chain is known to the version-1 KB")
 	}
-	if in.Incident.Truth.RootFixChange == "" {
+	if !slices.ContainsFunc(in.World.Changes.All(), func(c netsim.ChangeRecord) bool { return c.Kind == netsim.ChangeProtocolRollout }) {
 		t.Fatal("rollout change not recorded")
 	}
 	// Restart-only mitigation must cause recurrence (the Tokyo trap).
@@ -168,15 +182,20 @@ func TestFalseAlarmHasNoRealLoss(t *testing.T) {
 func TestCascadeStage5RollbackResolves(t *testing.T) {
 	t.Parallel()
 	in := (&Cascade{Stage: 5}).Build(rand.New(rand.NewSource(4)))
-	truth := in.Incident.Truth
-	if truth.RootFixChange == "" {
-		t.Fatal("no root fix change recorded")
+	var rollback mitigation.Action
+	for _, set := range in.Incident.Truth.RequiredMitigations {
+		if len(set) == 1 && set[0].Kind == mitigation.RollbackChange {
+			rollback = set[0]
+		}
+	}
+	if rollback.Target == "" {
+		t.Fatal("no change rollback among the required mitigations")
 	}
 	ex := &mitigation.Executor{World: in.World, Actor: "test"}
-	if err := ex.Execute(mitigation.Action{Kind: mitigation.RollbackChange, Target: truth.RootFixChange}); err != nil {
+	if err := ex.Execute(rollback); err != nil {
 		t.Fatal(err)
 	}
-	if !in.Succeeded(mitigation.Plan{Actions: []mitigation.Action{{Kind: mitigation.RollbackChange, Target: truth.RootFixChange}}}) {
+	if !in.Succeeded(mitigation.Plan{Actions: []mitigation.Action{rollback}}) {
 		t.Fatal("rollback did not resolve stage-5 cascade")
 	}
 }
@@ -191,8 +210,8 @@ func TestByNameAndRegistries(t *testing.T) {
 	}
 	for _, s := range Routine() {
 		in := s.Build(rand.New(rand.NewSource(5)))
-		if in.Incident.Truth.Novel {
-			t.Errorf("routine scenario %s marked novel", s.Name())
+		if !knownToV1(in.Incident.Truth.CausalChain) {
+			t.Errorf("routine scenario %s needs knowledge the version-1 KB lacks", s.Name())
 		}
 	}
 }

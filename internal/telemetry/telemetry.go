@@ -133,10 +133,9 @@ func MaxLoss(pairs []PairLoss) float64 {
 
 // LinkUtilSample is one link's utilization reading.
 type LinkUtilSample struct {
-	Link         netsim.LinkID
-	Utilization  float64
-	LossRate     float64
-	CapacityGbps float64
+	Link        netsim.LinkID
+	Utilization float64
+	LossRate    float64
 }
 
 // LinkUtilMonitor reports per-link utilization.
@@ -159,7 +158,7 @@ func compareUtil(a, b LinkUtilSample) int {
 // Top returns the k most utilized links, descending (every link when
 // k <= 0). A broken collector returns no rows (stale, empty dashboard).
 // It keeps a k-sized buffer in compareUtil order rather than sorting
-// every link, and reads capacity only for the winners.
+// every link.
 func (m *LinkUtilMonitor) Top(k int) []LinkUtilSample {
 	if m.Broken() {
 		return nil
@@ -180,9 +179,6 @@ func (m *LinkUtilMonitor) Top(k int) []LinkUtilSample {
 		}
 		out = slices.Insert(out, at, s)
 	}
-	for i := range out {
-		out[i].CapacityGbps = m.World.Net.Link(out[i].Link).CapacityGbps
-	}
 	return out
 }
 
@@ -196,8 +192,7 @@ func (m *LinkUtilMonitor) Utilization(id netsim.LinkID) (LinkUtilSample, bool) {
 	if ls == nil {
 		return LinkUtilSample{}, false
 	}
-	l := m.World.Net.Link(id)
-	return LinkUtilSample{Link: id, Utilization: ls.Utilization, LossRate: ls.LossRate, CapacityGbps: l.CapacityGbps}, true
+	return LinkUtilSample{Link: id, Utilization: ls.Utilization, LossRate: ls.LossRate}, true
 }
 
 // DeviceHealthRecord describes one device's current status.
@@ -301,7 +296,6 @@ func (s *SyslogSearch) Since(t time.Duration, minSev netsim.Severity) []netsim.S
 // Alert is a fired monitoring alarm; the alert engine converts threshold
 // crossings into incident reports.
 type Alert struct {
-	At       time.Duration
 	Rule     string
 	Severity netsim.Severity
 	Subject  string
@@ -332,7 +326,6 @@ func NewAlertEngine(w *netsim.World) *AlertEngine {
 // (rule, subject).
 func (e *AlertEngine) Evaluate() []Alert {
 	rep := e.World.Report()
-	now := e.World.Clock.Now()
 	var out []Alert
 
 	var services []string
@@ -348,7 +341,7 @@ func (e *AlertEngine) Evaluate() []Alert {
 				sev = netsim.SevCritical
 			}
 			out = append(out, Alert{
-				At: now, Rule: "service-loss", Severity: sev, Subject: s,
+				Rule: "service-loss", Severity: sev, Subject: s,
 				Detail: fmt.Sprintf("service %s experiencing %.1f%% packet loss (%d/%d flows unrouted)",
 					s, ss.LossRate*100, ss.Unrouted, ss.Flows),
 			})
@@ -359,7 +352,7 @@ func (e *AlertEngine) Evaluate() []Alert {
 		base := e.World.LatencyBaseline[s]
 		if base > 0 && ss.MaxLatency > e.LatencyRatio*base+1 {
 			out = append(out, Alert{
-				At: now, Rule: "latency", Severity: netsim.SevError, Subject: s,
+				Rule: "latency", Severity: netsim.SevError, Subject: s,
 				Detail: fmt.Sprintf("service %s latency %.1fms vs %.1fms baseline (%.1fx)",
 					s, ss.MaxLatency, base, ss.MaxLatency/base),
 			})
@@ -367,7 +360,7 @@ func (e *AlertEngine) Evaluate() []Alert {
 	}
 	for _, ls := range rep.HotLinks(e.LinkUtilThreshold) {
 		out = append(out, Alert{
-			At: now, Rule: "link-util", Severity: netsim.SevWarning, Subject: string(ls.Link),
+			Rule: "link-util", Severity: netsim.SevWarning, Subject: string(ls.Link),
 			Detail: fmt.Sprintf("link %s at %.0f%% utilization", ls.Link, ls.Utilization*100),
 		})
 	}
@@ -377,7 +370,7 @@ func (e *AlertEngine) Evaluate() []Alert {
 			continue // operator-intended isolation is not an alert
 		}
 		out = append(out, Alert{
-			At: now, Rule: "device-down", Severity: netsim.SevCritical, Subject: string(r.Node),
+			Rule: "device-down", Severity: netsim.SevCritical, Subject: string(r.Node),
 			Detail: fmt.Sprintf("device %s (%s, %s) unresponsive", r.Node, r.Kind, r.Region),
 		})
 	}

@@ -14,7 +14,7 @@ import (
 func testWorld() *netsim.World {
 	n := netsim.NewNetwork()
 	bb := netsim.BuildBackbone(n, netsim.DefaultBackboneConfig())
-	ctlNode := n.AddNode(netsim.Node{ID: "traffic-controller", Kind: netsim.KindController, Region: "us-east", Pod: -1})
+	ctlNode := n.AddNode(netsim.Node{ID: "traffic-controller", Kind: netsim.KindController, Region: "us-east"})
 	ctl := netsim.NewController(ctlNode.ID, []string{"B4", "B2"})
 	w := netsim.NewWorld(n, ctl, bb)
 	for i, region := range bb.Regions {
@@ -95,8 +95,7 @@ func TestLinkUtilTopSorted(t *testing.T) {
 func sortAllTop(w *netsim.World, k int) []LinkUtilSample {
 	var out []LinkUtilSample
 	for _, ls := range w.Report().Links {
-		out = append(out, LinkUtilSample{Link: ls.Link, Utilization: ls.Utilization, LossRate: ls.LossRate,
-			CapacityGbps: w.Net.Link(ls.Link).CapacityGbps})
+		out = append(out, LinkUtilSample{Link: ls.Link, Utilization: ls.Utilization, LossRate: ls.LossRate})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Utilization != out[j].Utilization {
